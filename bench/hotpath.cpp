@@ -308,6 +308,38 @@ harness::BenchResult bench_fiber_spawn(int cpus, int engines) {
   return r;
 }
 
+/// Fresh-world churn in the model checker's per-schedule shape: `worlds`
+/// back-to-back 2-CPU Engine + Runtime worlds, each running one
+/// transaction that reads a metadata, a counter and a data line (one per
+/// arena the collections use) and writes the data line, then torn down.
+/// txmc builds one such world per explored schedule, so this prices
+/// per-world setup: the reader directory, the fiber and L1 pools, the
+/// runtime's per-CPU state.
+harness::BenchResult bench_mc_world(int worlds) {
+  harness::BenchResult r;
+  r.name = "mc_world";
+  r.ops = static_cast<std::uint64_t>(worlds);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int w = 0; w < worlds; ++w) {
+    sim::Config c;
+    c.num_cpus = 2;
+    c.mode = sim::Mode::kTcc;
+    sim::Engine eng(c);
+    atomos::Runtime rt(eng);
+    atomos::Shared<long> meta(1, nullptr, sim::kMetaCell);
+    atomos::Shared<long> counter(2, nullptr, sim::kCounterCell);
+    atomos::Shared<long> data(3);
+    eng.spawn([&] {
+      atomos::atomically([&] { data.set(meta.get() + counter.get() + data.get()); });
+    });
+    eng.run();
+    r.sim_cycles += eng.elapsed_cycles();
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  return r;
+}
+
 // ---- engine-free kernel microscenarios -------------------------------------
 // The three data-path kernels the TM runtime leans on, exercised directly
 // (no engine, no fibers) so a change to one of them shows up undiluted by
@@ -451,6 +483,7 @@ int main(int argc, char** argv) {
   results.push_back(best_of([] { return bench_fiber_spawn(8, 2000); }));
   results.push_back(best_of([] { return bench_fiber_spawn(32, 500); }));
   results.push_back(best_of([] { return bench_fiber_spawn(128, 125); }));
+  results.push_back(best_of([] { return bench_mc_world(20000); }));
   // Data-path kernels, engine-free (their sim_cycles field is a checksum —
   // build-invariance witness across the SIMD and SWAR kernels).
   results.push_back(best_of([] { return bench_flatmap_probe(300000); }));

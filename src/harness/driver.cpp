@@ -224,7 +224,7 @@ FigureResult run_figure_driver(const std::string& figure_title,
                                const std::string& default_csv,
                                const DriverOptions& opt) {
   if (series.empty() || cpu_counts.empty())
-    throw std::invalid_argument("run_figure: nothing to run");
+    throw std::invalid_argument("run_figure_driver: nothing to run");
   const OnlyFilter filter = OnlyFilter::parse(opt.only);
   const int trials = std::max(opt.trials, 1);
 
@@ -245,7 +245,7 @@ FigureResult run_figure_driver(const std::string& figure_title,
     }
   }
   if (points.empty())
-    throw std::invalid_argument("run_figure: --only '" + opt.only +
+    throw std::invalid_argument("run_figure_driver: --only '" + opt.only +
                                 "' matches no (series, cpus) point");
 
   struct Slot {
@@ -472,9 +472,14 @@ double parse_seconds(const char* bench, const char* flag, const std::string& v) 
 Cli Cli::parse(int argc, char** argv, const char* bench, double default_timeout_sec) {
   Cli cli;
   cli.opts.timeout_sec = default_timeout_sec;
+  std::set<std::string> seen;  // a repeated flag would silently override
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto value = [&](const char* flag) -> std::string {
+      if (!seen.insert(flag).second) {
+        std::fprintf(stderr, "%s: %s given more than once\n", bench, flag);
+        usage(bench, 2);
+      }
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s: %s needs a value\n", bench, flag);
         usage(bench, 2);

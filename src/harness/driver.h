@@ -99,7 +99,7 @@ struct Cli {
   long ops = -1;       ///< --ops override; -1 = the bench's default
 
   /// Parses argv.  `--help` prints usage for `bench` and exits 0; an
-  /// unknown flag or bad value prints usage and exits 2.
+  /// unknown flag, a repeated flag or a bad value prints usage and exits 2.
   /// `default_timeout_sec` is the per-point timeout used when the user
   /// passes no --timeout — benches with known slow points (fig4's
   /// high-contention 32-CPU runs) pass a larger default.

@@ -38,10 +38,10 @@
 //    workload's construction order, byte-identical for any --jobs N;
 //  * false sharing between *packed* cells is modelled by construction
 //    adjacency, as before;
-//  * virtual addresses stay dense and small: isolated arenas sit at low
-//    addresses with fixed spans and the data arena comes last, so the TM
-//    layer's flat reader directory (indexed by line - base) grows only with
-//    real data-arena allocation.
+//  * virtual addresses stay dense within each arena: every arena's cells
+//    are bump-allocated up from its own base, so a table indexed by
+//    line - arena base (the TM layer's reader directory keeps one per
+//    arena) grows only with the lines that arena actually hands out.
 //
 // The cursors are reset by each Engine's constructor.  Invariant: simulated
 // cells must be constructed on the Engine's own host thread, after the
@@ -70,8 +70,7 @@ inline constexpr std::uintptr_t kVaBase = std::uintptr_t{1} << 20;
 inline constexpr std::uintptr_t kVaLineBytes = 64;
 
 /// Named address-space arenas, in ascending base-address order.  kData is
-/// last so the flat reader directory's high-water mark tracks real data
-/// allocation instead of the fixed spans of the small arenas.
+/// last because it is the only arena without a practical bound.
 enum class Arena : std::uint8_t {
   kMeta = 0,     ///< collection metadata: dispatch pointers, size fields
   kCounter = 1,  ///< open-nested / semantic counters
@@ -102,10 +101,9 @@ inline constexpr MemClass kLockWord{Arena::kLock, Isolation::kLineIsolated};
 /// Fixed span of each arena.  The isolated arenas hold 16Ki private lines
 /// each — about 6x the hungriest workload in the repo (SPECjbb Java mode:
 /// ~2700 per-object lock words) — and overflow is a hard, deterministic
-/// error (never a silent collision).  kData is effectively unbounded.  The
-/// spans are kept small on purpose: the TM reader directory is a flat array
-/// indexed from kVaBase, so every byte of fixed span ahead of the data
-/// arena is index offset it pays for.
+/// error (never a silent collision).  kData is effectively unbounded.  A
+/// span costs nothing until it is allocated from: tables keyed by address
+/// (the TM reader directory) index each arena from its own base.
 inline constexpr std::uintptr_t kArenaSpan[kArenaCount] = {
     std::uintptr_t{1} << 20,  // kMeta:    1 MiB = 16384 isolated lines
     std::uintptr_t{1} << 20,  // kCounter: 1 MiB
@@ -125,8 +123,19 @@ constexpr std::uintptr_t arena_limit(Arena arena) {
   return arena_base(arena) + kArenaSpan[static_cast<std::size_t>(arena)];
 }
 
-static_assert(arena_base(Arena::kMeta) == kVaBase,
-              "reader-directory line base assumes the first arena starts at kVaBase");
+/// The arena holding virtual address `addr`, which must lie in
+/// [kVaBase, arena_limit(Arena::kData)).  The spans are constants, so this
+/// folds to a short chain of compares.
+constexpr Arena arena_of(std::uintptr_t addr) {
+  std::size_t i = 0;
+  while (i + 1 < kArenaCount && addr >= arena_limit(static_cast<Arena>(i))) ++i;
+  return static_cast<Arena>(i);
+}
+
+static_assert(arena_base(Arena::kMeta) == kVaBase);
+static_assert(arena_of(arena_limit(Arena::kMeta) - 1) == Arena::kMeta);
+static_assert(arena_of(arena_base(Arena::kCounter)) == Arena::kCounter);
+static_assert(arena_of(arena_base(Arena::kData)) == Arena::kData);
 static_assert(arena_base(Arena::kMeta) % kVaLineBytes == 0);
 static_assert(arena_base(Arena::kCounter) % kVaLineBytes == 0);
 static_assert(arena_base(Arena::kLock) % kVaLineBytes == 0);

@@ -31,8 +31,13 @@
 // saturated add is reported as Check::kReaderOverflow; underflow and
 // out-of-range lines are reported as set corruption.
 //
-// Virtual addresses (sim/vaddr.h) are dense, so this is flat-array
-// indexing, not hashing: idx = line - (kVaBase >> kLineShift).
+// Virtual addresses (sim/vaddr.h) are dense within each arena, so this is
+// array indexing, not hashing: one table per arena, indexed by line minus
+// that arena's first line, so storage follows the lines actually read.  A
+// single table indexed from kVaBase would zero-fill a row for each of the
+// 48Ki lines of kMeta/kCounter/kLock span on the first data-line read, in
+// every world (txmc builds one per schedule).  The data arena, where almost
+// every transactional line lives, is checked first.
 #pragma once
 
 #include <bit>
@@ -65,44 +70,38 @@ class ReaderDir {
         words_(static_cast<std::size_t>((num_cpus + 63) / 64)) {}
 
   void add(sim::LineAddr line, int cpu) {
-    if (line < kLineBase) {
-      audit::reader_dir_corrupt(line, cpu, "add below virtual heap");
+    const Slot s = locate(line);
+    if (s.arena == kNoArena) {
+      audit::reader_dir_corrupt(line, cpu, "add outside virtual heap");
       return;
     }
-    const std::size_t i = index(line);
-    if (i >= nlines_) {
-      nlines_ = i + 1;
-      mask_.resize(nlines_ * words_, 0);
-      cnt_.resize(nlines_ * ncpu_, 0);
-    }
-    std::uint8_t& c = cnt_[i * ncpu_ + static_cast<std::size_t>(cpu)];
+    Table& t = tables_[s.arena];
+    if (s.i >= t.nlines) grow(t, s.i + 1);
+    std::uint8_t& c = t.cnt[s.i * ncpu_ + static_cast<std::size_t>(cpu)];
     if (c == 0xff) {  // saturate stickily: spurious flags beat missed ones
       audit::reader_count_overflow(line, cpu);
       return;
     }
     ++c;
-    mask_[i * words_ + (static_cast<std::size_t>(cpu) >> 6)] |=
+    t.mask[s.i * words_ + (static_cast<std::size_t>(cpu) >> 6)] |=
         std::uint64_t{1} << (cpu & 63);
   }
 
   void remove(sim::LineAddr line, int cpu) {
-    if (line < kLineBase) {
-      audit::reader_dir_corrupt(line, cpu, "remove below virtual heap");
-      return;
-    }
-    const std::size_t i = index(line);
-    if (i >= nlines_) {
+    const Slot s = locate(line);
+    Table& t = tables_[s.arena];
+    if (s.i >= t.nlines) {
       audit::reader_dir_corrupt(line, cpu, "remove of untracked line");
       return;
     }
-    std::uint8_t& c = cnt_[i * ncpu_ + static_cast<std::size_t>(cpu)];
+    std::uint8_t& c = t.cnt[s.i * ncpu_ + static_cast<std::size_t>(cpu)];
     if (c == 0) {
       audit::reader_dir_corrupt(line, cpu, "reader count underflow");
       return;
     }
     if (c == 0xff) return;  // saturated: count unknown, bit stays set
     if (--c == 0)
-      mask_[i * words_ + (static_cast<std::size_t>(cpu) >> 6)] &=
+      t.mask[s.i * words_ + (static_cast<std::size_t>(cpu) >> 6)] &=
           ~(std::uint64_t{1} << (cpu & 63));
   }
 
@@ -110,8 +109,9 @@ class ReaderDir {
   /// nullptr when no CPU has the line in a read set.  Valid until the next
   /// add() (which may grow the table).
   const std::uint64_t* mask_words(sim::LineAddr line) const {
-    const std::size_t i = index(line);
-    return i < nlines_ ? &mask_[i * words_] : nullptr;
+    const Slot s = locate(line);
+    const Table& t = tables_[s.arena];
+    return s.i < t.nlines ? &t.mask[s.i * words_] : nullptr;
   }
   std::size_t mask_stride() const { return words_; }
 
@@ -122,9 +122,8 @@ class ReaderDir {
   /// so a sparse reader set costs O(set bits) with no per-bit branches.
   template <class F>
   void for_each_reader_except(sim::LineAddr line, int except, F f) const {
-    const std::size_t i = index(line);
-    if (i >= nlines_) return;
-    const std::uint64_t* words = &mask_[i * words_];
+    const std::uint64_t* words = mask_words(line);
+    if (words == nullptr) return;
     const std::size_t xw = static_cast<std::size_t>(except) >> 6;
     const std::uint64_t xbit = std::uint64_t{1} << (except & 63);
     for (std::size_t wi = 0; wi < words_; ++wi) {
@@ -139,30 +138,63 @@ class ReaderDir {
 
   /// True if `cpu` has `line` in at least one live read set.
   bool is_reader(sim::LineAddr line, int cpu) const {
-    const std::size_t i = index(line);
-    if (i >= nlines_) return false;
-    return ((mask_[i * words_ + (static_cast<std::size_t>(cpu) >> 6)] >>
-             (cpu & 63)) &
-            1u) != 0;
+    const std::uint64_t* words = mask_words(line);
+    return words != nullptr &&
+           ((words[static_cast<std::size_t>(cpu) >> 6] >> (cpu & 63)) & 1u) != 0;
   }
 
   std::uint32_t count(sim::LineAddr line, int cpu) const {
-    const std::size_t i = index(line);
-    return i < nlines_ ? cnt_[i * ncpu_ + static_cast<std::size_t>(cpu)] : 0;
+    const Slot s = locate(line);
+    const Table& t = tables_[s.arena];
+    return s.i < t.nlines ? t.cnt[s.i * ncpu_ + static_cast<std::size_t>(cpu)] : 0;
+  }
+
+  /// Lines with a table row, over all arenas: the directory's footprint.
+  std::size_t tracked_lines() const {
+    std::size_t n = 0;
+    for (const Table& t : tables_) n += t.nlines;
+    return n;
   }
 
  private:
-  static constexpr sim::LineAddr kLineBase = sim::kVaBase >> sim::Config::kLineShift;
+  static constexpr int kShift = sim::Config::kLineShift;
+  static constexpr sim::LineAddr kHeapLine = sim::kVaBase >> kShift;
+  static constexpr sim::LineAddr kDataLine = sim::arena_base(sim::Arena::kData) >> kShift;
+  static constexpr sim::LineAddr kDataLines =
+      sim::kArenaSpan[static_cast<std::size_t>(sim::Arena::kData)] >> kShift;
+  /// Table slot of lines outside the virtual heap.  It never grows, so the
+  /// queries read such a line as untracked without a check of their own.
+  static constexpr std::size_t kNoArena = sim::kArenaCount;
 
-  static std::size_t index(sim::LineAddr line) {
-    return static_cast<std::size_t>(line - kLineBase);
+  struct Table {
+    std::size_t nlines = 0;
+    std::vector<std::uint64_t> mask;  // [i * words_ + w]: reader-CPU bits
+    std::vector<std::uint8_t> cnt;    // [i * ncpu_ + cpu]: live read-set refs
+  };
+  /// A line's arena (or kNoArena) and its row index in that arena's table.
+  struct Slot {
+    std::size_t arena;
+    std::size_t i;
+  };
+
+  /// Out of line so add() stays small enough to inline into the read path.
+  [[gnu::noinline]] void grow(Table& t, std::size_t nlines) {
+    t.nlines = nlines;
+    t.mask.resize(nlines * words_, 0);
+    t.cnt.resize(nlines * ncpu_, 0);
+  }
+
+  static Slot locate(sim::LineAddr line) {
+    if (line - kDataLine < kDataLines) [[likely]]
+      return {static_cast<std::size_t>(sim::Arena::kData), line - kDataLine};
+    if (line < kHeapLine || line >= kDataLine) return {kNoArena, 0};
+    const sim::Arena a = sim::arena_of(line << kShift);
+    return {static_cast<std::size_t>(a), line - (sim::arena_base(a) >> kShift)};
   }
 
   std::size_t ncpu_;
-  std::size_t words_;   // mask words per line: ceil(ncpu / 64)
-  std::size_t nlines_ = 0;
-  std::vector<std::uint64_t> mask_;  // [line * words_ + w]: reader-CPU bits
-  std::vector<std::uint8_t> cnt_;    // [line * ncpu + cpu]: live read-set refs
+  std::size_t words_;  // mask words per line: ceil(ncpu / 64)
+  Table tables_[sim::kArenaCount + 1];
 };
 
 }  // namespace atomos

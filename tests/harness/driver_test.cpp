@@ -65,6 +65,29 @@ std::vector<std::string> split_fields(const std::string& line) {
   return out;
 }
 
+harness::Cli parse_cli(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return harness::Cli::parse(static_cast<int>(argv.size()), argv.data(), "bench");
+}
+
+TEST(CliTest, DistinctFlagsParse) {
+  const harness::Cli cli = parse_cli({"-j", "2", "--only", "Java", "--ops", "400"});
+  EXPECT_EQ(cli.opts.jobs, 2);
+  EXPECT_EQ(cli.opts.only, "Java");
+  EXPECT_EQ(cli.ops, 400);
+}
+
+// A repeated flag used to keep only its last value, so
+// `--only Java --only cpus=128` silently ran every series at 128 CPUs.
+TEST(CliDeathTest, RepeatedFlagExitsTwo) {
+  EXPECT_EXIT(parse_cli({"--only", "Java", "--only", "cpus=128"}),
+              ::testing::ExitedWithCode(2), "--only given more than once");
+  EXPECT_EXIT(parse_cli({"-j", "2", "--trials", "3", "--jobs", "4"}),
+              ::testing::ExitedWithCode(2), "--jobs given more than once");
+}
+
 TEST(DriverTest, BaselineIsFirstSeriesOneCpuLockMode) {
   const TestMapParams p = tiny_params();
   harness::DriverOptions opt;

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tm/audit.h"
 #include "tm/runtime.h"
 #include "tm/shared.h"
 
@@ -30,6 +31,13 @@ sim::Config tcc_cfg(int cpus) {
 
 // Lines handed to ReaderDir must sit in the virtual heap.
 constexpr sim::LineAddr kLine0 = sim::kVaBase >> sim::Config::kLineShift;
+
+constexpr sim::LineAddr first_line(sim::Arena a) {
+  return sim::arena_base(a) >> sim::Config::kLineShift;
+}
+constexpr sim::LineAddr last_line(sim::Arena a) {
+  return (sim::arena_limit(a) >> sim::Config::kLineShift) - 1;
+}
 
 TEST(ReaderDirTest, AddRemoveMaskAndCounts) {
   ReaderDir dir(4);
@@ -91,6 +99,68 @@ TEST(ReaderDirTest, SmallSimStaysSingleWord) {
   EXPECT_EQ(ReaderDir(8).mask_stride(), 1u);
   EXPECT_EQ(ReaderDir(64).mask_stride(), 1u);
   EXPECT_EQ(ReaderDir(65).mask_stride(), 2u);
+}
+
+TEST(ReaderDirTest, FootprintFollowsLinesRead) {
+  // The three small arenas put 48Ki lines of fixed span in front of kData.
+  // One read of the first data line must cost one row, not a row for every
+  // line between kVaBase and it (49153 rows, 7 MB at 128 CPUs).
+  ReaderDir dir(128);
+  EXPECT_EQ(dir.tracked_lines(), 0u);
+  dir.add(first_line(sim::Arena::kData), 0);
+  EXPECT_EQ(dir.tracked_lines(), 1u);
+  dir.add(first_line(sim::Arena::kLock), 1);
+  EXPECT_EQ(dir.tracked_lines(), 2u);
+  dir.add(first_line(sim::Arena::kData) + 3, 2);
+  EXPECT_EQ(dir.tracked_lines(), 5u);  // rows 0..3 of the data table
+}
+
+TEST(ReaderDirTest, ArenaBoundaryLinesAreDistinct) {
+  // Neighbouring lines on either side of an arena boundary live in
+  // different tables; none may alias another's row.
+  ReaderDir dir(4);
+  const sim::LineAddr lines[] = {last_line(sim::Arena::kMeta),
+                                 first_line(sim::Arena::kCounter),
+                                 last_line(sim::Arena::kLock),
+                                 first_line(sim::Arena::kData)};
+  EXPECT_EQ(lines[0] + 1, lines[1]);
+  EXPECT_EQ(lines[2] + 1, lines[3]);
+  for (int c = 0; c < 4; ++c) dir.add(lines[c], c);
+  for (int l = 0; l < 4; ++l) {
+    for (int c = 0; c < 4; ++c) {
+      EXPECT_EQ(dir.is_reader(lines[l], c), l == c) << "line " << l << " cpu " << c;
+      EXPECT_EQ(dir.count(lines[l], c), l == c ? 1u : 0u);
+    }
+  }
+  dir.remove(lines[1], 1);
+  EXPECT_FALSE(dir.is_reader(lines[1], 1));
+  EXPECT_TRUE(dir.is_reader(lines[0], 0));
+  EXPECT_TRUE(dir.is_reader(lines[3], 3));
+}
+
+TEST(ReaderDirTest, UntrackedLinesAreReportedInEveryArena) {
+  // Removing a line no add() put there is set corruption in every arena,
+  // whether the arena's table is empty or just too short; so are lines
+  // outside the virtual heap.  None of them may grow a table.
+  audit::reset();
+  ReaderDir dir(2);
+  dir.add(first_line(sim::Arena::kMeta), 0);
+  dir.add(first_line(sim::Arena::kData), 0);
+  const std::size_t tracked = dir.tracked_lines();
+  for (const sim::Arena a :
+       {sim::Arena::kMeta, sim::Arena::kCounter, sim::Arena::kLock, sim::Arena::kData}) {
+    dir.remove(first_line(a) + 1, 1);
+  }
+  dir.remove(kLine0 - 1, 1);
+  dir.add(kLine0 - 1, 1);
+  dir.add(sim::arena_limit(sim::Arena::kData) >> sim::Config::kLineShift, 1);
+  EXPECT_EQ(dir.tracked_lines(), tracked);
+  EXPECT_EQ(dir.count(first_line(sim::Arena::kMeta), 0), 1u);
+  EXPECT_EQ(dir.count(first_line(sim::Arena::kData), 0), 1u);
+  if constexpr (audit::kEnabled) {
+    EXPECT_EQ(audit::count(audit::Check::kSetCorruption), 7u);
+  }
+  audit::reset();
 }
 
 TEST(ReaderDirIntegration, CommitFlagsLiveReader) {
