@@ -22,6 +22,7 @@
 #include "harness/speedup.h"
 #include "sim/fiber.h"
 #include "sim/flat_map.h"
+#include "tm/mutex.h"
 #include "tm/reader_dir.h"
 #include "tm/runtime.h"
 #include "tm/shared.h"
@@ -340,6 +341,49 @@ harness::BenchResult bench_mc_world(int worlds) {
   return r;
 }
 
+/// MESI lock-mode path: `cpus` CPUs in Mode::kLock contend one
+/// atomos::Mutex around a short critical section (a plain load and store
+/// of one counter line), as fig4's Java series and fig5's coarse-lock
+/// server do at their widest.  The run is test-and-test-and-set spinning
+/// on a line that keeps missing, parking and FIFO handoff: plain_load
+/// misses, scheduling decisions and fiber switches.  ops counts
+/// acquisitions.
+harness::BenchResult bench_lock_spin(int cpus, int acquires_per_cpu) {
+  sim::Config c;
+  c.num_cpus = cpus;
+  c.mode = sim::Mode::kLock;
+  sim::Engine eng(c);
+  atomos::Mutex mu;
+  const std::uintptr_t counter = sim::va_alloc(8, sim::kCounterCell);
+  long acquired = 0;
+  for (int i = 0; i < cpus; ++i) {
+    eng.spawn([&, acquires_per_cpu] {
+      sim::Engine& e = sim::Engine::get();
+      const int me = e.cpu_id();
+      for (int k = 0; k < acquires_per_cpu; ++k) {
+        {
+          atomos::LockGuard g(mu);
+          e.advance_to(e.memsys().plain_load(me, counter, e.now()));
+          ++acquired;
+          e.advance_to(e.memsys().plain_store(me, counter, e.now()));
+        }
+        e.tick(40);
+      }
+    });
+  }
+  harness::BenchResult r;
+  r.name = "lock_spin_" + std::to_string(cpus);
+  r.ops = static_cast<std::uint64_t>(cpus) * static_cast<std::uint64_t>(acquires_per_cpu);
+  r.wall_seconds = wall_run(eng);
+  r.sim_cycles = eng.elapsed_cycles();
+  if (acquired != static_cast<long>(r.ops)) {
+    std::fprintf(stderr, "hotpath: %s lost acquisitions (%ld of %llu)\n", r.name.c_str(),
+                 acquired, static_cast<unsigned long long>(r.ops));
+    std::exit(1);
+  }
+  return r;
+}
+
 // ---- engine-free kernel microscenarios -------------------------------------
 // The three data-path kernels the TM runtime leans on, exercised directly
 // (no engine, no fibers) so a change to one of them shows up undiluted by
@@ -484,6 +528,7 @@ int main(int argc, char** argv) {
   results.push_back(best_of([] { return bench_fiber_spawn(32, 500); }));
   results.push_back(best_of([] { return bench_fiber_spawn(128, 125); }));
   results.push_back(best_of([] { return bench_mc_world(20000); }));
+  results.push_back(best_of([] { return bench_lock_spin(128, 200); }));
   // Data-path kernels, engine-free (their sim_cycles field is a checksum —
   // build-invariance witness across the SIMD and SWAR kernels).
   results.push_back(best_of([] { return bench_flatmap_probe(300000); }));

@@ -1,7 +1,6 @@
 #include "mc/oracle.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 namespace mc {
@@ -143,6 +142,7 @@ void Oracle::register_map(const void* table, std::string name,
   info.kind = sorted ? TableInfo::Kind::kSortedMap : TableInfo::Kind::kMap;
   info.name = std::move(name);
   info.initial_map = std::move(initial);
+  see(table);
   tables_[table] = std::move(info);
 }
 
@@ -151,7 +151,17 @@ void Oracle::register_queue(const void* table, std::string name, std::vector<lon
   info.kind = TableInfo::Kind::kQueue;
   info.name = std::move(name);
   info.initial_queue = std::move(initial);
+  see(table);
   tables_[table] = std::move(info);
+}
+
+std::vector<std::pair<const void*, const Oracle::TableInfo*>> Oracle::tables_in_order() const {
+  std::vector<std::pair<const void*, const TableInfo*>> out;
+  for (const auto& [table, info] : tables_) out.emplace_back(table, &info);
+  std::sort(out.begin(), out.end(), [this](const auto& a, const auto& b) {
+    return ordinals_.at(a.first) < ordinals_.at(b.first);
+  });
+  return out;
 }
 
 void Oracle::register_name(const void* table, std::string name) {
@@ -163,9 +173,8 @@ std::string Oracle::table_name(const void* table) const {
   if (it != tables_.end()) return it->second.name;
   auto jt = names_.find(table);
   if (jt != names_.end()) return jt->second;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%p", table);
-  return buf;
+  auto kt = ordinals_.find(table);
+  return kt != ordinals_.end() ? "table#" + std::to_string(kt->second) : "table#?";
 }
 
 void Oracle::attempt_begin(int cpu, const atomos::TxnId& id) {
@@ -197,6 +206,7 @@ std::size_t Oracle::record(int cpu, Op op) {
     p.rec.begin_event = next_event();
   }
   if (op.event == 0) op.event = next_event();
+  see(op.table);
   p.rec.ops.push_back(op);
   return p.rec.ops.size() - 1;
 }
@@ -248,6 +258,7 @@ void Oracle::flush_abort(int cpu) {
 
 void Oracle::lock_acquired(const atomos::TxnId& owner, const void* table) {
   if (owner.cpu < 0) return;
+  see(table);
   lock_balance_[pack(owner)][table]++;
 }
 
@@ -270,6 +281,7 @@ void Oracle::locks_released_all(const atomos::TxnId& owner, const void* table) {
 void Oracle::lock_release_noop(const atomos::TxnId& owner, const void* table,
                                bool owner_live) {
   if (owner.cpu < 0 || !owner_live) return;  // stale prune of a settled owner
+  see(table);
   eager_violations_.push_back(Violation{
       Anomaly::kDoubleRelease,
       id_str(owner) + " released a semantic lock it does not hold in " +
@@ -449,7 +461,8 @@ void Oracle::check_maps(std::vector<Violation>& out) const {
   }
 
   // Final-state conservation per map table.
-  for (const auto& [table, info] : tables_) {
+  for (const auto& [table, ip] : tables_in_order()) {
+    const TableInfo& info = *ip;
     if (info.kind == TableInfo::Kind::kQueue || !info.final_set) continue;
     const MapState& m = model[table];
     MapState actual;
@@ -472,7 +485,8 @@ void Oracle::check_maps(std::vector<Violation>& out) const {
 // ---- checking: queues ----
 
 void Oracle::check_queues(std::vector<Violation>& out) const {
-  for (const auto& [table, info] : tables_) {
+  for (const auto& [table, ip] : tables_in_order()) {
+    const TableInfo& info = *ip;
     if (info.kind != TableInfo::Kind::kQueue) continue;
 
     struct Ev {
@@ -608,7 +622,7 @@ void Oracle::check_locks(std::vector<Violation>& out) const {
     for (const auto& [table, n] : tables) {
       if (n > 0) {
         total += n;
-        if (example == nullptr) example = table;
+        if (example == nullptr || ordinals_.at(table) < ordinals_.at(example)) example = table;
       }
     }
     if (total > 0) {

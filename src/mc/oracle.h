@@ -140,6 +140,9 @@ class Oracle {
   std::vector<Violation> check() const;
 
   const std::vector<TxnRec>& history() const { return history_; }
+  /// The registered name, else `table#N`: N numbers unnamed tables in the
+  /// order the oracle first saw them, so reports never print host
+  /// addresses and stay byte-identical across runs.
   std::string table_name(const void* table) const;
 
  private:
@@ -159,7 +162,12 @@ class Oracle {
   };
 
   std::uint64_t next_event() { return ++event_counter_; }
+  /// Gives `table` the next first-seen ordinal unless it has one.
+  void see(const void* table) { ordinals_.try_emplace(table, ordinals_.size()); }
 
+  /// tables_ sorted by first-seen ordinal: reports list tables in the
+  /// same order on every run, whatever the host addresses.
+  std::vector<std::pair<const void*, const TableInfo*>> tables_in_order() const;
   void check_maps(std::vector<Violation>& out) const;
   void check_queues(std::vector<Violation>& out) const;
   void check_locks(std::vector<Violation>& out) const;
@@ -167,6 +175,7 @@ class Oracle {
   std::uint64_t event_counter_ = 0;
   std::unordered_map<const void*, TableInfo> tables_;
   std::unordered_map<const void*, std::string> names_;  // auxiliary structures
+  std::unordered_map<const void*, std::size_t> ordinals_;  // first-seen order
   std::vector<Pending> pending_;  // indexed by cpu (grown on demand)
   std::vector<TxnRec> history_;   // finished attempts, in finish order
   // Committed recs' positions in history_, one slot per cpu: flush_commit

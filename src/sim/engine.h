@@ -19,6 +19,7 @@
 #include "sim/config.h"
 #include "sim/fiber.h"
 #include "sim/memsys.h"
+#include "sim/run_queue.h"
 #include "sim/stats.h"
 
 namespace sim {
@@ -93,7 +94,8 @@ class Engine {
   /// mirroring the paper's thread-per-CPU experiments).
   void spawn(std::function<void()> work);
 
-  /// Runs all workers to completion.  Throws on virtual deadlock, or
+  /// Runs all workers to completion.  Throws on virtual deadlock,
+  /// std::overflow_error if a clock reaches RunQueue::kClockLimit, or
   /// SimTimeout if this thread's host deadline (set_host_deadline) expires.
   void run();
 
@@ -186,37 +188,55 @@ class Engine {
   void*& user(int cpu) { return user_[static_cast<std::size_t>(cpu)]; }
 
  private:
-  // One entry per runnable-but-not-running CPU, min-heap ordered by
-  // (clock, id) — the same total order the original linear scan's
-  // first-minimum-wins tie-break induced.  The running CPU's entry is
-  // popped while it runs and re-inserted when it yields, so entries are
-  // never stale and the heap top after a pop IS the second-smallest
-  // runnable clock (the run limit).
-  struct RunqEntry {
-    std::uint64_t clock;
-    int id;
-  };
-
+  static const Config& checked(const Config& cfg);
   void worker_main(int cpu);
   void yield_now();  // out-of-line: scheduling decision + fiber switch
   void kill_all_suspended();
   [[noreturn]] static void throw_no_engine();
 
-  static bool runq_before(const RunqEntry& a, const RunqEntry& b) {
-    return a.clock < b.clock || (a.clock == b.clock && a.id < b.id);
+  /// `c`'s run-queue key.  A clock past RunQueue::kClockLimit cannot be
+  /// packed; it ends the run with std::overflow_error rather than wrap.
+  std::uint64_t key_of(const Cpu& c) {
+    if (c.clock_ >= RunQueue::kClockLimit) [[unlikely]]
+      clock_overflow();
+    return RunQueue::key(c.clock_, c.id_);
   }
-  void runq_push(RunqEntry e);
-  RunqEntry runq_pop();  // precondition: runq_ non-empty
+  [[noreturn]] void clock_overflow();
+  /// Makes the CPU of `key`, just dequeued, the next to run: sets its run
+  /// limit from the queue's new minimum and returns its id.
+  int take(std::uint64_t key) {
+    set_run_limit(RunQueue::clock_of(key), runq_.top_clock());
+    return RunQueue::id_of(key);
+  }
+  /// Dequeues and take()s the (clock, id)-minimum.  Precondition: runq_
+  /// non-empty.
+  int take_min() {
+    const std::uint64_t k = runq_.top();
+    runq_.erase(RunQueue::id_of(k));
+    return take(k);
+  }
+  /// Fiber side: hands the host thread straight to `cpu`'s fiber.
+  void switch_to(int cpu) {
+    current_cpu_ = cpu;
+    Fiber::transfer_to(*cpus_[static_cast<std::size_t>(cpu)].fiber_);
+  }
   /// Run budget for a fiber at `clock` given the next runnable clock
   /// `second` (kNever if none): second + slack, quantum-capped when a host
   /// deadline is armed so spinning fibers keep returning to the scheduler.
   void set_run_limit(std::uint64_t clock, std::uint64_t second) {
-    run_limit_ =
-        (second == ~std::uint64_t{0}) ? second : second + cfg_.slack;
+    run_limit_ = (second == RunQueue::kNever) ? second : second + cfg_.slack;
     if (host_deadline_armed_) {
       const std::uint64_t quantum = clock + cfg_.deadline_quantum;
       if (quantum < run_limit_) run_limit_ = quantum;
     }
+  }
+  /// Unwinds every worker fiber, then leaves run() by throwing E(what).
+  template <class E>
+  [[noreturn]] void abandon_run(Engine* prev, const char* what) {
+    kill_all_suspended();
+    tls_engine_ = prev;
+    running_ = false;
+    throw E(what);
   }
 
   inline static thread_local Engine* tls_engine_ = nullptr;
@@ -230,7 +250,8 @@ class Engine {
   SchedulerHook* hook_ = nullptr;
   std::vector<int> runnable_scratch_;  // reused per decision when hook_ set
   std::vector<Cpu> cpus_;
-  std::vector<RunqEntry> runq_;  // unused while a hook is installed
+  // Every runnable CPU except the one running, in both scheduling modes.
+  RunQueue runq_;
   std::vector<std::function<void()>> work_;
   std::vector<void*> user_;
   int current_cpu_ = -1;
@@ -239,6 +260,7 @@ class Engine {
   bool running_ = false;
   bool poisoned_ = false;      // force every suspended fiber to unwind
   bool deadline_hit_ = false;  // fiber-side poll tripped; run() must unwind
+  bool clock_overflow_ = false;  // a fiber's clock reached kClockLimit
 };
 
 }  // namespace sim

@@ -111,9 +111,11 @@ std::uint64_t MemSys::plain_load(int cpu, std::uintptr_t addr, std::uint64_t t) 
   stats_.cpu(cpu).l1_misses++;
   if (tracer_ != nullptr)
     tracer_->on_miss(cpu, t, line, trace::MissClass::kPlainLoad);
-  // Work on a copy: victim() below may evict other lines, which mutates the
-  // directory table and would invalidate a live Dir pointer.
-  Dir d = *dir_.try_emplace(line, Dir{}).first;
+  // Evict first: eviction only touches the evicted line's directory entry,
+  // never this one's, and once it is done nothing else mutates the table,
+  // so the entry is probed once and updated in place.
+  Way& w = victim(cpu, line);
+  Dir& d = *dir_.try_emplace(line, Dir{}).first;
   std::uint32_t occ = cfg_.bus_xfer_cycles;
   if (d.owner >= 0 && d.owner != cpu) {
     // Another CPU holds the line exclusively (E or M): downgrade it to S,
@@ -126,14 +128,12 @@ std::uint64_t MemSys::plain_load(int cpu, std::uintptr_t addr, std::uint64_t t) 
     d.owner = -1;
   }
   const std::uint64_t done = bus_.transact(t, cfg_.bus_arb_cycles, occ) + cfg_.l2_hit_cycles;
-  Way& w = victim(cpu, line);
   w.line = line;
   w.lru = ++lru_tick_;
   w.spec_dirty = false;
   w.state = d.sharers.none() ? St::E : St::S;
   if (w.state == St::E) d.owner = cpu;
   d.sharers.set(cpu);
-  *dir_.try_emplace(line, Dir{}).first = d;
   return done;
 }
 

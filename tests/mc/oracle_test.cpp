@@ -227,6 +227,29 @@ TEST(OracleTest, DoubleReleaseOnlyWhenOwnerLive) {
   EXPECT_TRUE(has(o.check(), Anomaly::kDoubleRelease));
 }
 
+TEST(OracleTest, UnnamedTablesPrintFirstSeenOrdinals) {
+  // Reports name an unregistered table by the order the oracle first saw
+  // it, never by host address, so two runs print the same bytes.
+  auto report = [](const void* first, const void* second) {
+    Oracle o;
+    o.lock_acquired(id(0), first);
+    o.lock_acquired(id(0), second);
+    o.lock_release_noop(id(1), second, /*owner_live=*/true);
+    EXPECT_EQ(o.table_name(first), "table#0");
+    EXPECT_EQ(o.table_name(second), "table#1");
+    std::string text;
+    for (const Violation& v : o.check()) text += v.detail + "\n";
+    return text;
+  };
+  int x = 0, y = 0;
+  const std::string one = report(&table_a, &table_b);
+  EXPECT_EQ(report(&x, &y), one);
+  EXPECT_EQ(report(&y, &x), one);
+  EXPECT_EQ(one.find("0x"), std::string::npos) << one;
+  EXPECT_NE(one.find("table#1 while still live"), std::string::npos) << one;
+  EXPECT_NE(one.find("e.g. in table#0"), std::string::npos) << one;
+}
+
 TEST(OracleTest, AbortAfterCommitFlushDemotesInPlace) {
   // A commit handler escalated into an abort after the oracle's commit flush
   // already ran: the attempt must count as aborted, so its put never reaches

@@ -182,5 +182,32 @@ TEST(EngineTest, NonPowerOfTwoDeadlinePollMaskIsRejected) {
   EXPECT_THROW(Engine rejected(c), std::invalid_argument);
 }
 
+TEST(EngineTest, OutOfRangeCpuCountIsRejectedBeforeSizing) {
+  // -1 used to escape from the member initialisers as std::length_error.
+  for (const int n : {-1, 0, Config::kMaxCpus + 1}) {
+    EXPECT_THROW(Engine rejected(cfg(n)), std::invalid_argument) << "num_cpus " << n;
+  }
+}
+
+TEST(EngineTest, ClockPastTheRunQueueKeyLimitEndsTheRun) {
+  // A clock that no longer fits the packed (clock, id) key must end the run
+  // loudly; the largest one that fits still schedules normally.
+  Engine fits(cfg(2));
+  fits.spawn([] { Engine::get().tick(RunQueue::kClockLimit - 1); });
+  fits.spawn([] { Engine::get().tick(1); });
+  fits.run();
+  EXPECT_EQ(fits.elapsed_cycles(), RunQueue::kClockLimit - 1);
+
+  Engine past(cfg(2));
+  bool finished = false;
+  past.spawn([&] {
+    Engine::get().tick(RunQueue::kClockLimit);
+    finished = true;
+  });
+  past.spawn([] { Engine::get().tick(1); });
+  EXPECT_THROW(past.run(), std::overflow_error);
+  EXPECT_FALSE(finished);
+}
+
 }  // namespace
 }  // namespace sim
