@@ -243,6 +243,47 @@ harness::BenchResult bench_contended(int txns_per_cpu) {
   return r;
 }
 
+/// Open-nested retry, the "TM abort" unit cost: every CPU increments one
+/// shared counter in an open-nested child of each parent transaction (the
+/// CompensatedCounter / UID pattern of fig4's Open series).  The children
+/// conflict on the counter line, so most of their violations are found at
+/// the child's own commit and retried there alone.  ops counts those
+/// violations; the host time per violation is in the extras.
+harness::BenchResult bench_open_retry(int txns_per_cpu) {
+  sim::Engine eng(tcc_cfg());
+  atomos::Runtime rt(eng);
+  std::vector<PaddedCell> cells(kCpus * kCellsPerCpu);
+  atomos::Shared<long> counter(0, nullptr, sim::kCounterCell);
+  for (int c = 0; c < kCpus; ++c) {
+    eng.spawn([&cells, &counter, c, txns_per_cpu] {
+      const int base = c * kCellsPerCpu;
+      for (int i = 0; i < txns_per_cpu; ++i) {
+        atomos::atomically([&cells, &counter, base, i] {
+          atomos::open_atomically([&counter] { counter.set(counter.get() + 1); });
+          // One write per line of this CPU's block: a long commit that the
+          // next children queue behind for the token.
+          for (int w = 0; w < kCellsPerCpu; w += 8) cells[base + w].v.set(i);
+        });
+      }
+    });
+  }
+  harness::BenchResult r;
+  r.name = "open_retry";
+  r.wall_seconds = wall_run(eng);
+  r.sim_cycles = eng.elapsed_cycles();
+  r.ops = eng.stats().total(&sim::CpuStats::violations) +
+          eng.stats().total(&sim::CpuStats::nested_violations);
+  const long increments = static_cast<long>(kCpus) * txns_per_cpu;
+  if (counter.unsafe_peek() != increments || r.ops == 0) {
+    std::fprintf(stderr, "hotpath: %s counted %ld of %ld increments with %llu violations\n",
+                 r.name.c_str(), counter.unsafe_peek(), increments,
+                 static_cast<unsigned long long>(r.ops));
+    std::exit(1);
+  }
+  r.extras.emplace_back("ns_per_violation", r.wall_seconds * 1e9 / static_cast<double>(r.ops));
+  return r;
+}
+
 /// Scheduler-decision cost: `cpus` lockstep fibers each ticking one cycle at
 /// a time, so essentially every tick crosses the run limit and forces a full
 /// scheduling decision plus fiber switch.  No TM runtime, no memory system
@@ -517,6 +558,7 @@ int main(int argc, char** argv) {
   results.push_back(best_of([] { return bench_nested_frames(10000); }));
   results.push_back(best_of([] { return bench_open_nested(10000); }));
   results.push_back(best_of([] { return bench_contended(4000); }));
+  results.push_back(best_of([] { return bench_open_retry(4000); }));
   // Engine hot-loop microbenches: scheduler decision cost and fiber
   // construction/teardown, at the paper scale (8), the old CPU-axis top
   // (32) and the new top (128).  Total ticks are held constant across the

@@ -43,13 +43,17 @@ Engine::~Engine() {
 void Engine::kill_all_suspended() {
   // Keep resuming until every fiber has unwound: a fiber may yield again
   // while unwinding (e.g. an abort path charging backoff cycles crosses the
-  // run limit), in which case one resume is not enough.
+  // run limit), in which case one resume is not enough.  A fiber that never
+  // ran holds no state to unwind: it is discarded without entering its body.
   poisoned_ = true;
   bool any_live;
   do {
     any_live = false;
     for (Cpu& c : cpus_) {
-      if (c.fiber_ != nullptr && !c.fiber_->finished()) {
+      if (c.fiber_ != nullptr && !c.fiber_->started()) {
+        c.fiber_.reset();
+        c.state_ = Cpu::State::kDone;
+      } else if (c.fiber_ != nullptr && !c.fiber_->finished()) {
         any_live = true;
         current_cpu_ = c.id_;
         c.fiber_->resume();  // wakes in yield_now()/block(), throws FiberKilled

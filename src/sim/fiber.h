@@ -91,6 +91,8 @@ class Fiber {
   /// has never run (its first activation happens exactly as under resume()).
   static void transfer_to(Fiber& next);
 
+  /// True once the fiber has been entered (by resume() or transfer_to()).
+  [[nodiscard]] bool started() const noexcept { return started_; }
   /// True once the fiber body has returned.
   [[nodiscard]] bool finished() const noexcept { return finished_; }
 

@@ -109,7 +109,11 @@ Txn* Runtime::begin_txn(int cpu, bool open, int attempt) {
     t = new Txn();
   }
   assert(open || c.cur == nullptr);  // closed nesting uses frames
-  t->reset(cpu, c.next_incarnation++, next_epoch_++, open, c.cur, eng_.now(), attempt);
+  t->reset(cpu, c.next_incarnation++, open, c.cur, eng_.now(), attempt);
+  if (t->parent == nullptr) {
+    t->bottom_seq = live_bottoms_base_ + live_bottoms_.size();
+    live_bottoms_.push_back(next_epoch_++);
+  }
   c.cur = t;
   if (tracer_ != nullptr)
     tracer_->on_txn_begin(cpu, eng_.now(), open, t->incarnation, attempt);
@@ -134,22 +138,31 @@ void Runtime::release_txn(Txn* t) {
   t->abort_handlers.clear();
   t->top_commit_handlers.clear();
   t->top_abort_handlers.clear();
+  if (t->parent == nullptr) {
+    live_bottoms_[t->bottom_seq - live_bottoms_base_] = 0;
+    while (!live_bottoms_.empty() && live_bottoms_.front() == 0) {
+      live_bottoms_.pop_front();
+      ++live_bottoms_base_;
+    }
+  }
   ctx(cpu).pool.push_back(t);
 }
 
-void Runtime::report_violation(int cpu, Txn* flagged) {
+void Runtime::count_violation(int cpu, const Txn& flagged) {
   // Note: abort-handler (compensation) transactions are NOT exempt — they
   // run detached (their doomed ancestors are unreachable from ctx.cur), and
   // their own memory conflicts must retry like any other transaction's.
-  // check_kill passed the outermost flagged transaction: it dominates
-  // everything nested inside it.
   auto& st = eng_.stats().cpu(cpu);
-  if (flagged->kill_semantic) st.semantic_violations++;
-  if (!flagged->open && flagged->parent == nullptr && flagged->kill_frame == 0) {
+  if (flagged.kill_semantic) st.semantic_violations++;
+  if (!flagged.open && flagged.parent == nullptr && flagged.kill_frame == 0) {
     st.violations++;
   } else {
     st.nested_violations++;
   }
+}
+
+void Runtime::report_violation(int cpu, Txn* flagged) {
+  count_violation(cpu, *flagged);
   throw Violated{flagged, flagged->kill_frame};
 }
 
@@ -394,11 +407,12 @@ void Runtime::broadcast_and_apply(Txn& t) {
   }
 }
 
-void Runtime::commit_txn(Txn* t) {
+Txn* Runtime::commit_txn(Txn* t) {
   CpuCtx& c = ctx(t->cpu);
   assert(c.cur == t && t->depth == 0);
 
-  check_kill(t->cpu);  // flagged while working: abort instead of committing
+  // Flagged while working: abort instead of committing.
+  if (Txn* flagged = take_violation(t->cpu)) return flagged;
 
   // An open child with a parent does not run handlers at its own commit:
   // they transfer to the parent below (paper S4).
@@ -419,20 +433,20 @@ void Runtime::commit_txn(Txn* t) {
     // semantic lock acquisitions have to be ordered either before that
     // committer's conflict detection or after its broadcast.  Waiting for
     // the token gives exactly that: if the commit wrote what we read, the
-    // broadcast flags us while we wait and check_kill unwinds us.
+    // broadcast flags us while we wait and we abort instead.
     acquire_token(t->cpu);
-    try {
-      check_kill(t->cpu);
-    } catch (...) {
-      release_token(t->cpu);
-      throw;
-    }
+    Txn* flagged = take_violation(t->cpu);
     release_token(t->cpu);
+    if (flagged != nullptr) return flagged;
   }
   if (!trivial) {
     acquire_token(t->cpu);
+    // Last chance: flagged while queueing for the token.
+    if (Txn* flagged = take_violation(t->cpu)) {
+      release_token(t->cpu);
+      return flagged;
+    }
     try {
-      check_kill(t->cpu);  // last chance: flagged while queueing for the token
       // With the token held and the logs final, the read/write sets must be
       // internally consistent before anything is broadcast (txcheck).
       audit::check_txn_sets(*t);
@@ -505,6 +519,7 @@ void Runtime::commit_txn(Txn* t) {
   c.cur = t->parent;
   release_txn(t);
   if (!purgatory_.empty()) collect_garbage();
+  return nullptr;
 }
 
 void Runtime::abort_txn(Txn* t) {
@@ -659,11 +674,11 @@ void Runtime::notify_txn_sets(Txn* t, bool committed) {
 }
 
 void Runtime::collect_garbage() {
-  std::uint64_t min_active = next_epoch_;
-  for (int c = 0; c < eng_.config().num_cpus; ++c) {
-    Txn* b = bottom_of(c);
-    if (b != nullptr && b->epoch < min_active) min_active = b->epoch;
-  }
+  // Every bottom a CPU can reach from ctx.cur is live in the FIFO, so this
+  // never frees earlier than a scan of the CPUs' bottoms would; bottoms a
+  // running compensation hides (or a doomed one still compensating) also
+  // hold reclamation back until they are released.
+  const std::uint64_t min_active = live_bottoms_.empty() ? next_epoch_ : live_bottoms_.front();
   while (!purgatory_.empty() && purgatory_.front().epoch < min_active) {
     purgatory_.front().del(purgatory_.front().ptr);
     purgatory_.pop_front();

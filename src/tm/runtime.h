@@ -16,9 +16,11 @@
 // Conflict detection is lazy (TCC): speculative writes are buffered; at
 // commit the writer acquires the global commit token, broadcasts its write
 // set, and flags every other in-flight transaction that has read one of the
-// written cache lines.  Flagged transactions unwind at their next
-// transactional operation and retry (the whole transaction, or just the
-// nested frame / open-nested child whose read caused the conflict).
+// written cache lines.  Flagged transactions retry (the whole transaction,
+// or just the nested frame / open-nested child whose read caused the
+// conflict): a flag seen at the next transactional operation unwinds by
+// exception, and one seen at commit is returned to the retry loop, which
+// throws only when the flag is on an enclosing transaction.
 // Because every commit holds the token, commit handlers can never be
 // violated while they run — the TCC property the paper relies on.
 #pragma once
@@ -90,7 +92,7 @@ struct FrameMark {
 struct Txn {
   int cpu = -1;
   std::uint64_t incarnation = 0;
-  std::uint64_t epoch = 0;        // global begin order, for safe reclamation
+  std::uint64_t bottom_seq = 0;   // slot in Runtime's live-bottom FIFO (bottoms only)
   bool open = false;              // an open-nested child
   Txn* parent = nullptr;          // enclosing transaction (open-nesting link)
   int depth = 0;                  // current closed-nesting frame depth
@@ -166,11 +168,10 @@ struct Txn {
 
   /// Rearms a pooled Txn for a new incarnation.  The vectors keep their
   /// capacity; the flat maps clear in O(1) by generation bump.
-  void reset(int cpu_, std::uint64_t incarnation_, std::uint64_t epoch_, bool open_,
-             Txn* parent_, std::uint64_t start_clock_, int attempt_) {
+  void reset(int cpu_, std::uint64_t incarnation_, bool open_, Txn* parent_,
+             std::uint64_t start_clock_, int attempt_) {
     cpu = cpu_;
     incarnation = incarnation_;
-    epoch = epoch_;
     open = open_;
     parent = parent_;
     depth = 0;
@@ -394,22 +395,39 @@ class Runtime {
 
   // Non-template machinery (runtime.cpp).
   detail::Txn* begin_txn(int cpu, bool open, int attempt);
-  void commit_txn(detail::Txn* t);  // may throw Violated (flag seen at commit)
+  /// Commits `t`, or returns the outermost flagged transaction on its CPU
+  /// (the violation is counted, nothing is unwound; run_txn delivers it).
+  /// Throws only what commit handlers throw.
+  detail::Txn* commit_txn(detail::Txn* t);
   void abort_txn(detail::Txn* t);   // rollback + abort handlers + backoff
   void release_txn(detail::Txn* t);  // drop read-set dir refs, park in pool
   void push_frame(detail::Txn& t);
   void pop_frame_commit(detail::Txn& t);
   void pop_frame_abort(detail::Txn& t);
   void clear_kill(detail::Txn& t);
-  /// Throws Violated if any transaction on `cpu` is flagged.  The scan is
-  /// inline (almost always finds nothing); the throw path is out-of-line.
-  void check_kill(int cpu) {
+  /// The outermost flagged transaction on `cpu`'s stack, or nullptr.  It
+  /// dominates everything nested inside it.
+  detail::Txn* outermost_flagged(int cpu) {
     detail::Txn* flagged = nullptr;
     for (detail::Txn* t = ctx(cpu).cur; t != nullptr; t = t->parent) {
       if (t->kill_frame >= 0) flagged = t;
     }
-    if (flagged != nullptr) report_violation(cpu, flagged);
+    return flagged;
   }
+  /// Throws Violated if any transaction on `cpu` is flagged (the body-side
+  /// check).  The scan is inline (almost always finds nothing); the throw
+  /// path is out-of-line.
+  void check_kill(int cpu) {
+    if (detail::Txn* flagged = outermost_flagged(cpu)) report_violation(cpu, flagged);
+  }
+  /// The commit-side check: counts and returns the outermost flagged
+  /// transaction instead of throwing.
+  detail::Txn* take_violation(int cpu) {
+    detail::Txn* flagged = outermost_flagged(cpu);
+    if (flagged != nullptr) count_violation(cpu, *flagged);
+    return flagged;
+  }
+  void count_violation(int cpu, const detail::Txn& flagged);
   [[noreturn]] void report_violation(int cpu, detail::Txn* flagged);
   void notify_txn_sets(detail::Txn* t, bool committed);  // mc observer fan-out
   void acquire_token(int cpu);
@@ -442,28 +460,40 @@ class Runtime {
   /// A fresh incarnation id for a non-Txn audit scope (chop restarts).
   TxnId make_scope_id(int cpu) { return TxnId{cpu, ctx(cpu).next_incarnation++}; }
 
+  /// Violation delivery: a flag seen in the body (tm_read, tm_write, work,
+  /// a nested begin) unwinds to here as Violated; a flag seen at commit is
+  /// returned by commit_txn.  Either way, a violation of `t` itself retries
+  /// here, and one of an enclosing transaction aborts `t` and unwinds once
+  /// through the user frames between here and that transaction.
   template <class F>
   auto run_txn(int cpu, bool open, F&& fn) {
     for (int attempt = 0;; ++attempt) {
       detail::Txn* t = begin_txn(cpu, open, attempt);
+      detail::Txn* flagged;
       try {
         if constexpr (std::is_void_v<decltype(fn())>) {
           fn();
-          commit_txn(t);
-          return;
+          flagged = commit_txn(t);
+          if (flagged == nullptr) return;
         } else {
           auto result = fn();
-          commit_txn(t);
-          return result;
+          flagged = commit_txn(t);
+          if (flagged == nullptr) return result;
         }
       } catch (const Violated& v) {
         const bool mine = (v.txn == t);
         abort_txn(t);
         if (!mine) throw;  // an enclosing transaction is doomed
+        continue;
       } catch (...) {
         abort_txn(t);  // user exception: abort, then propagate
         throw;
       }
+      // Flagged at commit.  Read the frame before abort_txn: compensation
+      // can yield, and a commit meanwhile may lower kill_frame.
+      const int frame = flagged->kill_frame;
+      abort_txn(t);
+      if (flagged != t) throw Violated{flagged, frame};
     }
   }
 
@@ -485,6 +515,10 @@ class Runtime {
       } catch (const Violated& v) {
         pop_frame_abort(t);
         if (v.txn == &t && v.frame == my_depth) {
+          // A commit that landed while the unwind yielded (an open child's
+          // abort compensates and backs off) may have flagged a shallower
+          // frame: pass the violation on rather than clear that flag.
+          if (t.kill_frame >= 0 && t.kill_frame < my_depth) throw Violated{&t, t.kill_frame};
           clear_kill(t);
           continue;  // retry just this frame
         }
@@ -550,6 +584,14 @@ class Runtime {
   };
   std::deque<Purgatory> purgatory_;
   std::uint64_t next_epoch_ = 1;
+  // Begin epochs of the bottom transactions (no parent: top-level, chop
+  // pieces and detached compensation handlers) that have begun and not been
+  // released, in begin order; 0 marks one released out of order, popped
+  // once it reaches the front.  Epochs rise with begin order, so the front
+  // is the minimum active epoch.  Entry i has sequence number
+  // live_bottoms_base_ + i.
+  std::deque<std::uint64_t> live_bottoms_;
+  std::uint64_t live_bottoms_base_ = 0;
 };
 
 // ---- Free-function convenience wrappers (the public face of the API) ----

@@ -209,5 +209,19 @@ TEST(EngineTest, ClockPastTheRunQueueKeyLimitEndsTheRun) {
   EXPECT_FALSE(finished);
 }
 
+TEST(EngineTest, AbandonedRunNeverEntersAnUnstartedWorker) {
+  // CPU 0 overflows its clock before CPU 1 is ever scheduled: unwinding the
+  // run must discard CPU 1's fiber, not run its body to a scheduling point.
+  Engine eng(cfg(2));
+  bool cpu1_ran = false;
+  eng.spawn([] { Engine::get().tick(RunQueue::kClockLimit); });
+  eng.spawn([&] {
+    cpu1_ran = true;
+    Engine::get().tick(1);
+  });
+  EXPECT_THROW(eng.run(), std::overflow_error);
+  EXPECT_FALSE(cpu1_ran);
+}
+
 }  // namespace
 }  // namespace sim

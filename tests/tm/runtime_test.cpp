@@ -424,6 +424,59 @@ TEST(RuntimeTest, TxNewRolledBackOnAbortTxDeleteDeferred) {
   EXPECT_EQ(live, 0);
 }
 
+// Counts the objects the runtime's deferred deletes have freed.
+int g_freed = 0;
+struct Counted {
+  ~Counted() { ++g_freed; }
+};
+
+TEST(RuntimeTest, DeferredDeletesWaitForEveryOlderTransaction) {
+  // CPUs 1..N-1 tx_delete one object while CPU 0's long transaction runs
+  // and one while CPU 0's long compensation handler runs.  Neither batch
+  // may be freed while the transaction that began before it is live.
+  for (const int cpus : {2, 128}) {
+    g_freed = 0;
+    sim::Engine eng(tcc_cfg(cpus));
+    Runtime rt(eng);
+    std::vector<Counted*> objs;
+    for (int i = 0; i < 2 * (cpus - 1); ++i) objs.push_back(new Counted());
+    const int batch = cpus - 1;
+    int in_txn = -1, after_txn = -1, in_compensation = -1, at_end = -1;
+    eng.spawn([&] {
+      atomically([&] {
+        work(20000);
+        in_txn = g_freed;
+      });
+      after_txn = g_freed;  // CPU 0's own commit collected the first batch
+      try {
+        atomically([&] {
+          on_abort([&] {
+            work(20000);
+            in_compensation = g_freed;
+          });
+          throw std::runtime_error("abort");
+        });
+      } catch (const std::runtime_error&) {
+      }
+      atomically([] {});  // a commit with a non-empty purgatory collects
+      at_end = g_freed;
+    });
+    for (int c = 1; c < cpus; ++c) {
+      eng.spawn([&objs, c] {
+        work(1000);
+        atomically([&] { tx_delete(objs[static_cast<std::size_t>(2 * (c - 1))]); });
+        work(25000);
+        atomically([&] { tx_delete(objs[static_cast<std::size_t>(2 * (c - 1) + 1)]); });
+      });
+    }
+    eng.run();
+    EXPECT_EQ(in_txn, 0) << cpus << " CPUs";
+    EXPECT_EQ(after_txn, batch) << cpus << " CPUs";
+    EXPECT_EQ(in_compensation, batch) << cpus << " CPUs";
+    EXPECT_EQ(at_end, 2 * batch) << cpus << " CPUs";
+  }
+}
+
 TEST(RuntimeTest, LockModeIsPassthrough) {
   sim::Config cfg = tcc_cfg(1);
   cfg.mode = sim::Mode::kLock;
