@@ -271,8 +271,8 @@ harness::BenchResult bench_open_retry(int txns_per_cpu) {
   r.name = "open_retry";
   r.wall_seconds = wall_run(eng);
   r.sim_cycles = eng.elapsed_cycles();
-  r.ops = eng.stats().total(&sim::CpuStats::violations) +
-          eng.stats().total(&sim::CpuStats::nested_violations);
+  const sim::CpuStats s = eng.stats().summed();
+  r.ops = s.violations + s.nested_violations;
   const long increments = static_cast<long>(kCpus) * txns_per_cpu;
   if (counter.unsafe_peek() != increments || r.ops == 0) {
     std::fprintf(stderr, "hotpath: %s counted %ld of %ld increments with %llu violations\n",

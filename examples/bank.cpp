@@ -79,9 +79,8 @@ int main() {
   std::printf("audits consistent   : %ld\n", audits_ok);
   std::printf("audits inconsistent : %ld   (must be 0)\n", audits_bad);
   std::printf("final total         : %ld (expected %ld)\n", final_total, expected_total);
+  const sim::CpuStats s = engine.stats().summed();
   std::printf("violations survived : %llu\n",
-              static_cast<unsigned long long>(
-                  engine.stats().total(&sim::CpuStats::violations) +
-                  engine.stats().total(&sim::CpuStats::semantic_violations)));
+              static_cast<unsigned long long>(s.violations + s.semantic_violations));
   return (audits_bad == 0 && final_total == expected_total) ? 0 : 1;
 }

@@ -84,6 +84,6 @@ int main() {
   std::printf("worklist leftover : %ld (must be 0)\n", worklist.inner().size());
   std::printf("violations        : %llu (conflicts on the mesh, never on the queue)\n",
               static_cast<unsigned long long>(
-                  engine.stats().total(&sim::CpuStats::violations)));
+                  engine.stats().summed().violations));
   return worklist.inner().size() == 0 ? 0 : 1;
 }

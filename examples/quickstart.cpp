@@ -50,6 +50,6 @@ int main() {
               static_cast<unsigned long long>(engine.elapsed_cycles()));
   std::printf("parent violations : %llu   (try the same with a raw HashMap!)\n",
               static_cast<unsigned long long>(
-                  engine.stats().total(&sim::CpuStats::violations)));
+                  engine.stats().summed().violations));
   return 0;
 }

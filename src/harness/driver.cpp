@@ -510,6 +510,10 @@ Cli Cli::parse(int argc, char** argv, const char* bench, double default_timeout_
       usage(bench, 2);
     }
   }
+  if (cli.opts.trace_cap != 0 && cli.opts.trace_path.empty()) {
+    std::fprintf(stderr, "%s: --trace-cap needs --trace\n", bench);
+    usage(bench, 2);
+  }
   return cli;
 }
 

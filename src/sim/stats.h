@@ -1,11 +1,9 @@
-// Simulation statistics: fixed per-CPU counters plus a named-counter map
-// that doubles as the TAPE-style conflict-profiling facility the paper used
-// to locate contended fields (Section 6.3 cites [3], TAPE).
+// Simulation statistics: fixed per-CPU counters.  Per-field conflict
+// attribution (the TAPE-style profiling of the paper's Section 6.3) comes
+// from txtrace's conflict report over the Profile labels (tm/profile.h).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace sim {
@@ -32,16 +30,7 @@ class Stats {
   CpuStats& cpu(int id) { return per_cpu_[static_cast<std::size_t>(id)]; }
   const std::vector<CpuStats>& per_cpu() const { return per_cpu_; }
 
-  /// Aggregates a field over all CPUs, e.g. total(&CpuStats::violations).
-  template <class T>
-  std::uint64_t total(T CpuStats::* field) const {
-    std::uint64_t sum = 0;
-    for (const auto& c : per_cpu_) sum += static_cast<std::uint64_t>(c.*field);
-    return sum;
-  }
-
-  /// Every counter summed over all CPUs in one pass (the harness driver
-  /// collects a whole RunResult from this instead of one total() per field).
+  /// Every counter summed over all CPUs in one pass.
   CpuStats summed() const {
     CpuStats s;
     for (const auto& c : per_cpu_) {
@@ -59,14 +48,8 @@ class Stats {
     return s;
   }
 
-  /// Free-form named counters (TAPE-style profiling: e.g. the per-object
-  /// violation sites that identified District.nextOrder in the paper).
-  void bump(const std::string& name, std::uint64_t by = 1) { named_[name] += by; }
-  const std::map<std::string, std::uint64_t>& named() const { return named_; }
-
  private:
   std::vector<CpuStats> per_cpu_;
-  std::map<std::string, std::uint64_t> named_;
 };
 
 }  // namespace sim

@@ -41,41 +41,40 @@ std::uint64_t rnd(std::uint64_t& s) {
 
 enum Stat { kStatHit, kStatMiss, kStatRevenue };
 
-/// The flavor-independent handler logic.  `MapT` is any Map-shaped type
-/// (plain jstd::HashMap or TransactionalMap); `bump` records a statistics
-/// increment in whatever isolation the flavor uses.  Handlers draw no
-/// randomness, so a violated transaction replays bit-identically.
-template <class SessionsT, class CacheT, class BumpFn>
-void handle_request(const Request& r, SessionsT& sessions, CacheT& cache,
-                    long cache_slots, BumpFn&& bump) {
+/// The flavor-independent handler logic over a flavor state's `sessions`
+/// and `cache` (plain jstd::HashMap or TransactionalMap); `st.bump` records
+/// a statistics increment in whatever isolation the flavor uses.  Handlers
+/// draw no randomness, so a violated transaction replays bit-identically.
+template <class State>
+void handle_request(const Request& r, State& st, long cache_slots) {
   switch (r.kind) {
     case 0: {  // session lookup through the cache
       const long slot = r.key % cache_slots;
-      const auto tag = cache.get(slot);
-      (void)sessions.get(r.key);
+      const auto tag = st.cache.get(slot);
+      (void)st.sessions.get(r.key);
       if (tag.has_value() && *tag == r.key) {
         atomos::work(kThinkHit);
-        bump(kStatHit, 1);
+        st.bump(kStatHit, 1);
       } else {
         atomos::work(kThinkMiss);
-        cache.put(slot, r.key);
-        bump(kStatMiss, 1);
+        st.cache.put(slot, r.key);
+        st.bump(kStatMiss, 1);
       }
       break;
     }
     case 1: {  // single-session read-modify-write
-      const long v = sessions.get(r.key).value_or(0);
+      const long v = st.sessions.get(r.key).value_or(0);
       atomos::work(kThinkUpdate);
-      sessions.put(r.key, v + r.delta);
-      bump(kStatRevenue, r.delta);
+      st.sessions.put(r.key, v + r.delta);
+      st.bump(kStatRevenue, r.delta);
       break;
     }
     default: {  // cross-session transfer (multi-key, conserves the total)
-      const long a = sessions.get(r.key).value_or(0);
-      const long b = sessions.get(r.key2).value_or(0);
+      const long a = st.sessions.get(r.key).value_or(0);
+      const long b = st.sessions.get(r.key2).value_or(0);
       atomos::work(kThinkTransfer);
-      sessions.put(r.key, a - r.delta);
-      sessions.put(r.key2, b + r.delta);
+      st.sessions.put(r.key, a - r.delta);
+      st.sessions.put(r.key2, b + r.delta);
       break;
     }
   }
@@ -105,6 +104,226 @@ void audit(const SrvConfig& cfg, const SrvReport& rep, const Finals& fin) {
   if (fin.queue_size != 0) err << fin.queue_size << " requests stranded; ";
   const std::string msg = err.str();
   if (!msg.empty()) throw std::runtime_error("srv consistency audit: " + msg);
+}
+
+/// What every flavor's server shares: the schedule and the completion
+/// bookkeeping.  Completion lives OUTSIDE the transactional state: it is
+/// only ever touched post-commit (TM flavors run it from an on_commit
+/// hook), so it adds no read/write-set footprint and no conflicts.
+struct Server {
+  sim::Engine& eng;
+  const std::vector<Request>& reqs;
+  long cache_slots;
+  std::vector<harness::LatencyHistogram> hists;
+  std::uint64_t completed = 0;
+  std::uint64_t last_commit = 0;
+
+  void finish(int cpu, std::uint64_t arrival) {
+    const std::uint64_t t = eng.now();
+    hists[static_cast<std::size_t>(cpu)].record(t > arrival ? t - arrival : 0);
+    ++completed;
+    if (t > last_commit) last_commit = t;
+  }
+
+  /// Runs request `idx`'s handler in the current transaction.  Completion
+  /// is recorded only on commit; an abort replays the whole handler, so
+  /// there is nothing to compensate.
+  template <class State>
+  void handle_in_txn(State& st, long idx, int cpu) {
+    const Request& r = reqs[static_cast<std::size_t>(idx)];
+    handle_request(r, st, cache_slots);
+    // txlint: allow(unpaired-handler) - commit-only bookkeeping
+    atomos::on_commit([this, cpu, arr = r.arrival] { finish(cpu, arr); });
+  }
+};
+
+/// The session table, cache and work queue Lock and Flat TM serve from.
+struct PlainTables {
+  jstd::HashMap<long, long> sessions{1024, 0.75F, "srv.sessions.size",
+                                     "srv.sessions.table"};
+  jstd::HashMap<long, long> cache{256, 0.75F, "srv.cache.size", "srv.cache.table"};
+  jstd::LinkedQueue<long> queue;
+};
+
+/// The same tables behind the paper's semantic wrappers.
+struct SemanticTables {
+  tcc::TransactionalMap<long, long> sessions{
+      std::make_unique<jstd::HashMap<long, long>>(1024, 0.75F, "srv.sessions.size",
+                                                  "srv.sessions.table"),
+      tcc::Detection::kOptimistic, "srv.sessions"};
+  tcc::TransactionalMap<long, long> cache{
+      std::make_unique<jstd::HashMap<long, long>>(256, 0.75F, "srv.cache.size",
+                                                  "srv.cache.table"),
+      tcc::Detection::kOptimistic, "srv.cache"};
+  tcc::TransactionalQueue<long> queue{std::make_unique<jstd::LinkedQueue<long>>(),
+                                      "srv.queue"};
+};
+
+/// A flavor's tables, populated as a base class so that the flavor's own
+/// cells are constructed after the population: virtual addresses, and with
+/// them simulated cycles, follow construction order.
+template <class Tables>
+struct Populated : Tables {
+  explicit Populated(const SrvConfig& cfg) {
+    for (long k = 0; k < cfg.sessions; ++k) this->sessions.put(k, kInitialBalance);
+    for (long sl = 0; sl < cfg.cache_slots; ++sl) this->cache.put(sl, sl);
+  }
+};
+
+// A flavor state holds what differs between the servers: its statistics
+// cells `hits`/`misses`/`revenue` and `bump`, `accept(i)` (enqueue request
+// i from the accept CPU) and `serve(sv, cpu)` (dequeue and handle one
+// request; false when the queue was empty).
+
+/// The classic coarse-grained server: a short queue mutex plus ONE mutex
+/// held across the entire handler, think time included — the hot conflict
+/// site.
+struct LockState : Populated<PlainTables> {
+  long hits = 0, misses = 0, revenue = 0;
+  atomos::Mutex queue_mu;
+  atomos::Mutex state_mu;
+
+  using Populated::Populated;
+
+  void bump(Stat st, long d) {
+    (st == kStatHit ? hits : st == kStatMiss ? misses : revenue) += d;
+  }
+  void accept(long i) {
+    atomos::LockGuard g(queue_mu);
+    queue.put(i);
+  }
+  bool serve(Server& sv, int cpu) {
+    std::optional<long> idx;
+    {
+      atomos::LockGuard g(queue_mu);
+      idx = queue.poll();
+    }
+    if (!idx.has_value()) return false;
+    const Request& r = sv.reqs[static_cast<std::size_t>(*idx)];
+    {
+      atomos::LockGuard g(state_mu);
+      handle_request(r, *this, sv.cache_slots);
+    }
+    sv.finish(cpu, r.arrival);
+    return true;
+  }
+};
+
+/// Each handler is one flat transaction over the plain tables.
+struct FlatState : Populated<PlainTables> {
+  // Parent-level statistics cells: every handler's read-modify-write of
+  // these lands in the flat transaction's read/write set, so any two
+  // lookups conflict on hits/misses — the cost semantic counters remove.
+  atomos::Shared<long> hits{0, "srv.hits", sim::kCounterCell};
+  atomos::Shared<long> misses{0, "srv.misses", sim::kCounterCell};
+  atomos::Shared<long> revenue{0, "srv.revenue", sim::kCounterCell};
+
+  using Populated::Populated;
+
+  void bump(Stat st, long d) {
+    auto& cell = st == kStatHit ? hits : st == kStatMiss ? misses : revenue;
+    cell.set(cell.get() + d);
+  }
+  void accept(long i) {
+    atomos::atomically([&] { queue.put(i); });
+  }
+  bool serve(Server& sv, int cpu) {
+    return atomos::atomically([&] {
+      // A plain queue inside a flat transaction: the head/size cells join
+      // the read/write set, so every dequeue conflicts with every enqueue
+      // and every other dequeue.
+      auto idx = queue.poll();
+      if (!idx.has_value()) return false;
+      sv.handle_in_txn(*this, *idx, cpu);
+      return true;
+    });
+  }
+};
+
+/// The paper's semantic collections and open-nested counters.  kChopped
+/// runs each handler as two rank-ordered pieces instead of one transaction.
+template <bool kChopped>
+struct SemanticState : Populated<SemanticTables> {
+  tcc::CompensatedCounter hits{0, "srv.hits"};
+  tcc::CompensatedCounter misses{0, "srv.misses"};
+  tcc::CompensatedCounter revenue{0, "srv.revenue"};
+
+  using Populated::Populated;
+
+  void bump(Stat st, long d) {
+    (st == kStatHit ? hits : st == kStatMiss ? misses : revenue).add(d);
+  }
+  void accept(long i) {
+    queue.put(i);  // buffered put, applied at commit
+  }
+  bool serve(Server& sv, int cpu) {
+    if constexpr (!kChopped) {
+      return atomos::atomically([&] {
+        // take() observes no emptiness and no ordering (Table 7), so
+        // worker dequeues commute with puts and with each other.
+        auto idx = queue.take();
+        if (!idx.has_value()) return false;
+        sv.handle_in_txn(*this, *idx, cpu);
+        return true;
+      });
+    } else {
+      // The dequeue and the handler body commit as separate rank-ordered
+      // pieces, so a session/cache conflict in the body never forces the
+      // dequeue to replay, and the body's conflict window excludes the queue
+      // traffic entirely.  The take piece's compensation re-enqueues the
+      // request (the abort-path mirror of TransactionalQueue's own put-back).
+      std::optional<long> idx;
+      atomos::chopped()
+          .piece("take", [&] { idx = queue.take(); },
+                 /*compensate=*/[&] { if (idx.has_value()) queue.put(*idx); })
+          .piece("handle", [&] { if (idx.has_value()) sv.handle_in_txn(*this, *idx, cpu); })
+          .run();
+      return idx.has_value();
+    }
+  }
+};
+
+// txlint: begin-allow(raw-peek) - post-run audit: the engine has halted,
+// every transaction has committed, so committed values are the truth.
+long peek(long v) { return v; }
+template <class Cell>
+long peek(const Cell& c) { return c.unsafe_peek(); }
+// txlint: end-allow(raw-peek)
+
+/// The server itself, once for every flavor: CPU 0 replays the arrival
+/// schedule through `accept`, CPUs 1..workers run the worker loop with
+/// exponential backoff on an empty queue.  CPU 0 is spawned first.
+template <class State>
+Finals simulate(Server& sv, const SrvConfig& cfg, int workers) {
+  State st(cfg);
+  sim::Engine& eng = sv.eng;
+  const auto total = static_cast<std::uint64_t>(cfg.requests);
+  eng.spawn([&] {  // CPU 0: the accept loop
+    for (std::size_t i = 0; i < sv.reqs.size(); ++i) {
+      if (eng.now() < sv.reqs[i].arrival) eng.advance_to(sv.reqs[i].arrival);
+      st.accept(static_cast<long>(i));
+    }
+  });
+  for (int w = 0; w < workers; ++w) {
+    eng.spawn([&] {
+      const int cpu = eng.cpu_id();
+      std::uint64_t backoff = kBackoffMin;
+      while (sv.completed < total) {
+        if (st.serve(sv, cpu)) {
+          backoff = kBackoffMin;
+        } else {
+          atomos::work(backoff);
+          backoff = std::min(backoff * 2, kBackoffMax);
+        }
+      }
+    });
+  }
+  eng.run();
+  Finals fin{peek(st.hits), peek(st.misses), peek(st.revenue)};
+  for (long k = 0; k < cfg.sessions; ++k)
+    fin.session_sum += st.sessions.get(k).value_or(0);
+  fin.queue_size = st.queue.size();
+  return fin;
 }
 
 }  // namespace
@@ -172,7 +391,6 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
     if (r.kind == 1) ++rep.updates, rep.expected_revenue += r.delta;
     if (r.kind == 2) ++rep.transfers;
   }
-  const auto total = static_cast<std::uint64_t>(cfg.requests);
 
   sim::Config c;
   c.mode = f == Flavor::kLock ? sim::Mode::kLock : sim::Mode::kTcc;
@@ -180,239 +398,21 @@ void run_server(Flavor f, const SrvConfig& cfg, int cpus, std::uint64_t salt,
   sim::Engine eng(c);
   atomos::Runtime rt(eng);
 
-  // Completion bookkeeping lives OUTSIDE the transactional state: it is
-  // only ever touched post-commit (TM flavors run it from an on_commit
-  // hook), so it adds no read/write-set footprint and no conflicts.
-  std::vector<harness::LatencyHistogram> hists(static_cast<std::size_t>(cpus));
-  std::uint64_t completed = 0;
-  std::uint64_t last_commit = 0;
-  auto finish = [&](int cpu, std::uint64_t arrival) {
-    const std::uint64_t t = eng.now();
-    hists[static_cast<std::size_t>(cpu)].record(t > arrival ? t - arrival : 0);
-    ++completed;
-    if (t > last_commit) last_commit = t;
-  };
-
+  Server sv{eng, reqs, cfg.cache_slots,
+            std::vector<harness::LatencyHistogram>(static_cast<std::size_t>(cpus))};
   Finals fin;
-
-  if (f == Flavor::kLock) {
-    jstd::HashMap<long, long> sessions(1024, 0.75F, "srv.sessions.size",
-                                       "srv.sessions.table");
-    jstd::HashMap<long, long> cache(256, 0.75F, "srv.cache.size",
-                                    "srv.cache.table");
-    jstd::LinkedQueue<long> queue;
-    for (long k = 0; k < cfg.sessions; ++k) sessions.put(k, kInitialBalance);
-    for (long sl = 0; sl < cfg.cache_slots; ++sl) cache.put(sl, sl);
-    long hits = 0, misses = 0, revenue = 0;
-    atomos::Mutex queue_mu;
-    atomos::Mutex state_mu;
-    auto bump = [&](Stat st, long d) {
-      if (st == kStatHit) hits += d;
-      else if (st == kStatMiss) misses += d;
-      else revenue += d;
-    };
-    eng.spawn([&] {  // CPU 0: the accept loop
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (eng.now() < reqs[i].arrival) eng.advance_to(reqs[i].arrival);
-        atomos::LockGuard g(queue_mu);
-        queue.put(static_cast<long>(i));
-      }
-    });
-    for (int w = 0; w < workers; ++w) {
-      eng.spawn([&] {
-        const int cpu = eng.cpu_id();
-        std::uint64_t backoff = kBackoffMin;
-        while (completed < total) {
-          std::optional<long> idx;
-          {
-            atomos::LockGuard g(queue_mu);
-            idx = queue.poll();
-          }
-          if (!idx.has_value()) {
-            atomos::work(backoff);
-            backoff = std::min(backoff * 2, kBackoffMax);
-            continue;
-          }
-          backoff = kBackoffMin;
-          const Request& r = reqs[static_cast<std::size_t>(*idx)];
-          {
-            // The classic coarse-grained server: ONE mutex held across the
-            // entire handler, think time included — the hot conflict site.
-            atomos::LockGuard g(state_mu);
-            handle_request(r, sessions, cache, cfg.cache_slots, bump);
-          }
-          finish(cpu, r.arrival);
-        }
-      });
-    }
-    eng.run();
-    fin.hits = hits;
-    fin.misses = misses;
-    fin.revenue = revenue;
-    for (long k = 0; k < cfg.sessions; ++k)
-      fin.session_sum += sessions.get(k).value_or(0);
-    fin.queue_size = queue.size();
-  } else if (f == Flavor::kFlatTm) {
-    jstd::HashMap<long, long> sessions(1024, 0.75F, "srv.sessions.size",
-                                       "srv.sessions.table");
-    jstd::HashMap<long, long> cache(256, 0.75F, "srv.cache.size",
-                                    "srv.cache.table");
-    jstd::LinkedQueue<long> queue;
-    for (long k = 0; k < cfg.sessions; ++k) sessions.put(k, kInitialBalance);
-    for (long sl = 0; sl < cfg.cache_slots; ++sl) cache.put(sl, sl);
-    // Parent-level statistics cells: every handler's read-modify-write of
-    // these lands in the flat transaction's read/write set, so any two
-    // lookups conflict on hits/misses — the cost semantic counters remove.
-    atomos::Shared<long> hits(0, "srv.hits", sim::kCounterCell);
-    atomos::Shared<long> misses(0, "srv.misses", sim::kCounterCell);
-    atomos::Shared<long> revenue(0, "srv.revenue", sim::kCounterCell);
-    auto bump = [&](Stat st, long d) {
-      auto& cell = st == kStatHit ? hits : st == kStatMiss ? misses : revenue;
-      cell.set(cell.get() + d);
-    };
-    eng.spawn([&] {  // CPU 0: the accept loop
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (eng.now() < reqs[i].arrival) eng.advance_to(reqs[i].arrival);
-        atomos::atomically([&] { queue.put(static_cast<long>(i)); });
-      }
-    });
-    for (int w = 0; w < workers; ++w) {
-      eng.spawn([&] {
-        const int cpu = eng.cpu_id();
-        std::uint64_t backoff = kBackoffMin;
-        while (completed < total) {
-          const bool got = atomos::atomically([&] {
-            // A plain queue inside a flat transaction: the head/size cells
-            // join the read/write set, so every dequeue conflicts with
-            // every enqueue and every other dequeue.
-            auto idx = queue.poll();
-            if (!idx.has_value()) return false;
-            const Request& r = reqs[static_cast<std::size_t>(*idx)];
-            handle_request(r, sessions, cache, cfg.cache_slots, bump);
-            // Completion is recorded only on commit; an abort replays
-            // the whole handler, so there is nothing to compensate.
-            // txlint: allow(unpaired-handler) - commit-only bookkeeping
-            atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); });
-            return true;
-          });
-          if (got) {
-            backoff = kBackoffMin;
-          } else {
-            atomos::work(backoff);
-            backoff = std::min(backoff * 2, kBackoffMax);
-          }
-        }
-      });
-    }
-    eng.run();
-    // txlint: begin-allow(raw-peek) - post-run audit: the engine has halted,
-    // every transaction has committed, so committed values are the truth.
-    fin.hits = hits.unsafe_peek();
-    fin.misses = misses.unsafe_peek();
-    fin.revenue = revenue.unsafe_peek();
-    // txlint: end-allow(raw-peek)
-    for (long k = 0; k < cfg.sessions; ++k)
-      fin.session_sum += sessions.get(k).value_or(0);
-    fin.queue_size = queue.size();
-  } else {
-    tcc::TransactionalMap<long, long> sessions(
-        std::make_unique<jstd::HashMap<long, long>>(1024, 0.75F,
-                                                    "srv.sessions.size",
-                                                    "srv.sessions.table"),
-        tcc::Detection::kOptimistic, "srv.sessions");
-    tcc::TransactionalMap<long, long> cache(
-        std::make_unique<jstd::HashMap<long, long>>(256, 0.75F,
-                                                    "srv.cache.size",
-                                                    "srv.cache.table"),
-        tcc::Detection::kOptimistic, "srv.cache");
-    tcc::TransactionalQueue<long> queue(
-        std::make_unique<jstd::LinkedQueue<long>>(), "srv.queue");
-    for (long k = 0; k < cfg.sessions; ++k) sessions.put(k, kInitialBalance);
-    for (long sl = 0; sl < cfg.cache_slots; ++sl) cache.put(sl, sl);
-    tcc::CompensatedCounter hits(0, "srv.hits");
-    tcc::CompensatedCounter misses(0, "srv.misses");
-    tcc::CompensatedCounter revenue(0, "srv.revenue");
-    auto bump = [&](Stat st, long d) {
-      (st == kStatHit ? hits : st == kStatMiss ? misses : revenue).add(d);
-    };
-    eng.spawn([&] {  // CPU 0: the accept loop
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (eng.now() < reqs[i].arrival) eng.advance_to(reqs[i].arrival);
-        queue.put(static_cast<long>(i));  // buffered put, applied at commit
-      }
-    });
-    for (int w = 0; w < workers; ++w) {
-      eng.spawn([&] {
-        const int cpu = eng.cpu_id();
-        std::uint64_t backoff = kBackoffMin;
-        while (completed < total) {
-          bool got = false;
-          if (f == Flavor::kChoppedTm) {
-            // Chopped handler: the dequeue and the handler body commit as
-            // separate rank-ordered pieces, so a session/cache conflict in
-            // the body never forces the dequeue to replay, and the body's
-            // conflict window excludes the queue traffic entirely.  The
-            // take piece's compensation re-enqueues the request (the
-            // abort-path mirror of TransactionalQueue's own put-back).
-            std::optional<long> idx;
-            atomos::chopped()
-                .piece("take",
-                       [&] {
-                         // take() observes no emptiness/ordering (Table 7).
-                         idx = queue.take();
-                       },
-                       /*compensate=*/
-                       [&] {
-                         if (idx.has_value()) queue.put(*idx);
-                       })
-                .piece("handle",
-                       [&] {
-                         if (!idx.has_value()) return;
-                         const Request& r = reqs[static_cast<std::size_t>(*idx)];
-                         handle_request(r, sessions, cache, cfg.cache_slots, bump);
-                         atomos::on_commit(
-                             [&finish, cpu, arr = r.arrival] { finish(cpu, arr); });
-                       })
-                .run();
-            got = idx.has_value();
-          } else {
-            got = atomos::atomically([&] {
-              // take() observes no emptiness and no ordering (Table 7), so
-              // worker dequeues commute with puts and with each other.
-              auto idx = queue.take();
-              if (!idx.has_value()) return false;
-              const Request& r = reqs[static_cast<std::size_t>(*idx)];
-              handle_request(r, sessions, cache, cfg.cache_slots, bump);
-              atomos::on_commit([&finish, cpu, arr = r.arrival] { finish(cpu, arr); });
-              return true;
-            });
-          }
-          if (got) {
-            backoff = kBackoffMin;
-          } else {
-            atomos::work(backoff);
-            backoff = std::min(backoff * 2, kBackoffMax);
-          }
-        }
-      });
-    }
-    eng.run();
-    rep.chop_pieces = rt.chop_stats().pieces;
-    rep.chop_dep_breaks = rt.chop_stats().dep_breaks;
-    // txlint: begin-allow(raw-peek) - post-run audit: the engine has halted,
-    // every transaction has committed, so committed values are the truth.
-    fin.hits = hits.unsafe_peek();
-    fin.misses = misses.unsafe_peek();
-    fin.revenue = revenue.unsafe_peek();
-    // txlint: end-allow(raw-peek)
-    for (long k = 0; k < cfg.sessions; ++k)
-      fin.session_sum += sessions.get(k).value_or(0);
-    fin.queue_size = queue.size();
+  switch (f) {
+    case Flavor::kLock: fin = simulate<LockState>(sv, cfg, workers); break;
+    case Flavor::kFlatTm: fin = simulate<FlatState>(sv, cfg, workers); break;
+    case Flavor::kSemanticTm: fin = simulate<SemanticState<false>>(sv, cfg, workers); break;
+    case Flavor::kChoppedTm: fin = simulate<SemanticState<true>>(sv, cfg, workers); break;
   }
+  rep.chop_pieces = rt.chop_stats().pieces;
+  rep.chop_dep_breaks = rt.chop_stats().dep_breaks;
 
-  rep.completed = completed;
-  rep.last_commit = last_commit;
-  for (const auto& h : hists) rep.sojourn += h;
+  rep.completed = sv.completed;
+  rep.last_commit = sv.last_commit;
+  for (const auto& h : sv.hists) rep.sojourn += h;
   rep.hits = fin.hits;
   rep.misses = fin.misses;
   rep.revenue = fin.revenue;

@@ -21,7 +21,7 @@
 //   simulated service cost), 20% single-session updates, 10% cross-session
 //   transfers (multi-key read-modify-write).
 //
-// The same schedule and handlers run under three synchronization flavors:
+// The same schedule and handlers run under four synchronization flavors:
 //
 //   kLock       — a mutex-guarded plain queue plus ONE coarse state mutex
 //                 held across each whole handler (the classic "giant lock
@@ -33,7 +33,12 @@
 //   kSemanticTm — the same transaction shape, but through the paper's
 //                 semantic collections: TransactionalQueue::take() (no
 //                 emptiness observation, Table 7), TransactionalMap
-//                 sessions/cache, open-nested CompensatedCounter stats.
+//                 sessions/cache, open-nested CompensatedCounter stats;
+//   kChoppedTm  — Semantic's state, with the dequeue and the handler body
+//                 run as two chopped pieces (tm/chop.h).
+//
+// One server loop runs every flavor; each flavor supplies only its state
+// (src/srv/workload.cpp).
 //
 // Every flavor replays the BIT-IDENTICAL arrival schedule for a given
 // (load, cpu count, seed): the schedule is derived from an integer LCG and

@@ -36,7 +36,6 @@ Runtime::Runtime(sim::Engine& eng, std::unique_ptr<ContentionManager> cm)
 }
 
 Runtime::~Runtime() {
-  flush_violation_counters();
   if (tracer_ != nullptr) {
     eng_.set_tracer(nullptr);
     // The per-CPU streams must be well-nested (begin/commit/abort pairing,
@@ -324,11 +323,9 @@ void Runtime::release_token(int cpu) {
 
 /// Flags every transaction (other than the committer's CPU's own stack) that
 /// has `line` in a live read set.  Shared by the commit broadcast and the
-/// naked-store path; also charges the TAPE-style `violations@<cell>` counter
-/// when profiling is on.  The reader directory narrows the scan to CPUs that
+/// naked-store path.  The reader directory narrows the scan to CPUs that
 /// actually read the line, so a commit costs O(write lines x real readers).
 void Runtime::flag_readers(sim::LineAddr line, int committer) {
-  const bool profiling = profile_.enabled();
   reader_dir_.for_each_reader_except(line, committer, [&](int c) {
     for (Txn* v = ctx(c).cur; v != nullptr; v = v->parent) {
       // Ancestors of the committer are exempt by construction (they are on
@@ -338,27 +335,8 @@ void Runtime::flag_readers(sim::LineAddr line, int committer) {
       const int frame = *f;
       if (v->kill_frame < 0 || frame < v->kill_frame) v->kill_frame = frame;
       if (tracer_ != nullptr) tracer_->on_violation_flag(committer, eng_.now(), line, c);
-      if (profiling) {
-        // Interned id, not string: the "violations@<label>" stats entries
-        // are materialized once at teardown (flush_violation_counters).
-        const std::size_t slot = static_cast<std::size_t>(profile_.find_id(line) + 1);
-        if (slot >= viol_counts_.size()) viol_counts_.resize(slot + 1, 0);
-        ++viol_counts_[slot];
-      }
     }
   });
-}
-
-void Runtime::flush_violation_counters() {
-  if (viol_counts_.empty()) return;
-  if (viol_counts_[0] != 0)
-    eng_.stats().bump("violations@<unnamed>", viol_counts_[0]);
-  for (std::size_t k = 1; k < viol_counts_.size(); ++k) {
-    if (viol_counts_[k] != 0)
-      eng_.stats().bump("violations@" + profile_.label_name(static_cast<int>(k) - 1),
-                        viol_counts_[k]);
-  }
-  viol_counts_.clear();  // bump() accumulates; never double-flush
 }
 
 void Runtime::broadcast_and_apply(Txn& t) {

@@ -433,7 +433,6 @@ class Runtime {
   void acquire_token(int cpu);
   void release_token(int cpu);
   void flag_readers(sim::LineAddr line, int committer);
-  void flush_violation_counters();  // viol_counts_ -> stats() "violations@"
   void broadcast_and_apply(detail::Txn& t);
   void collect_garbage();
 
@@ -551,12 +550,6 @@ class Runtime {
   // Commit-broadcast scratch (write-set lines, sorted + uniqued per
   // commit), reused across commits.
   std::vector<sim::LineAddr> scratch_lines_;
-
-  // TAPE violation counters, indexed by interned label id + 1 (slot 0 =
-  // unlabelled).  flag_readers bumps these; flush_violation_counters
-  // materializes them as stats() "violations@<label>" entries at teardown,
-  // keeping std::string construction out of the violation hot path.
-  std::vector<std::uint64_t> viol_counts_;
 
   // Active chops, one slot per CPU (null = none).  The count gates the
   // broadcast-side probing so non-chopped workloads never pay for it.

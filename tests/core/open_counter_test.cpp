@@ -34,7 +34,7 @@ TEST(OpenCounterTest, ConcurrentIncrementsDoNotViolateParents) {
     });
   }
   eng.run();
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::violations), 0u);
+  EXPECT_EQ(eng.stats().summed().violations, 0u);
   EXPECT_EQ(counter.unsafe_peek(), 80);
 }
 
@@ -56,7 +56,7 @@ TEST(OpenCounterTest, PlainSharedCounterWouldViolate) {
     });
   }
   eng.run();
-  EXPECT_GT(eng.stats().total(&sim::CpuStats::violations), 0u);
+  EXPECT_GT(eng.stats().summed().violations, 0u);
   EXPECT_EQ(counter.unsafe_peek(), 80);  // still atomic, just slower
 }
 
@@ -114,7 +114,7 @@ TEST(OpenCounterTest, CompensatedCounterExactUnderContention) {
     });
   }
   eng.run();
-  EXPECT_GT(eng.stats().total(&sim::CpuStats::violations), 0u);
+  EXPECT_GT(eng.stats().summed().violations, 0u);
   EXPECT_EQ(counter.unsafe_peek(), 60);  // exact despite retries
 }
 

@@ -206,8 +206,8 @@ TEST(Table1Map, InsertsOfDifferentNewKeys_CommuteForNonSizeReaders) {
     });
   }
   eng.run();
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::violations), 0u);
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::semantic_violations), 0u);
+  EXPECT_EQ(eng.stats().summed().violations, 0u);
+  EXPECT_EQ(eng.stats().summed().semantic_violations, 0u);
   EXPECT_EQ(f.map.inner().size(), 2);
 }
 

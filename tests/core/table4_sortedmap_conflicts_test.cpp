@@ -233,8 +233,8 @@ TEST(Table4SortedMap, DisjointRangeIterationsCommute) {
     });
   }
   eng.run();
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::violations), 0u);
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::semantic_violations), 0u);
+  EXPECT_EQ(eng.stats().summed().violations, 0u);
+  EXPECT_EQ(eng.stats().summed().semantic_violations, 0u);
 }
 
 }  // namespace

@@ -101,8 +101,8 @@ TEST(Table7Queue, PutVsTakeNeverConflict) {
     });
   });
   eng.run();
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::violations), 0u);
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::semantic_violations), 0u);
+  EXPECT_EQ(eng.stats().summed().violations, 0u);
+  EXPECT_EQ(eng.stats().summed().semantic_violations, 0u);
   EXPECT_EQ(f.q.inner().size(), 4);  // 4 - 1 + 1
 }
 
@@ -120,7 +120,7 @@ TEST(Table7Queue, TakeVsTakeNoConflict) {
     });
   }
   eng.run();
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::semantic_violations), 0u);
+  EXPECT_EQ(eng.stats().summed().semantic_violations, 0u);
   EXPECT_EQ(f.q.inner().size(), 4);
 }
 
@@ -247,7 +247,7 @@ TEST(TxQueueSize, AbortPutBackViolatesSizeObservers) {
     });
   });
   eng.run();
-  EXPECT_GE(eng.stats().total(&sim::CpuStats::semantic_violations), 1u);
+  EXPECT_GE(eng.stats().summed().semantic_violations, 1u);
   EXPECT_EQ(f.q.size(), 3);  // compensation restored every element
 }
 

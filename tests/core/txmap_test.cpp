@@ -214,8 +214,8 @@ TEST(TxMapTest, LongTransactionsOnDisjointKeysDoNotConflict) {
     });
   }
   eng.run();
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::violations), 0u);
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::semantic_violations), 0u);
+  EXPECT_EQ(eng.stats().summed().violations, 0u);
+  EXPECT_EQ(eng.stats().summed().semantic_violations, 0u);
   EXPECT_EQ(m->inner().size(), 2);
 }
 

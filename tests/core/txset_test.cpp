@@ -54,8 +54,8 @@ TEST(TxSetTest, DisjointAddsInLongTransactionsCommute) {
   }
   eng.run();
   EXPECT_EQ(set.size(), 40);
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::violations), 0u);
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::semantic_violations), 0u);
+  EXPECT_EQ(eng.stats().summed().violations, 0u);
+  EXPECT_EQ(eng.stats().summed().semantic_violations, 0u);
 }
 
 TEST(TxSetTest, AbortRollsBackMembership) {

@@ -88,6 +88,13 @@ TEST(CliDeathTest, RepeatedFlagExitsTwo) {
               ::testing::ExitedWithCode(2), "--jobs given more than once");
 }
 
+// A buffer capacity with nothing to trace was accepted and ignored, so a
+// run meant to be traced finished with exit 0 and wrote no trace.
+TEST(CliDeathTest, TraceCapWithoutTraceExitsTwo) {
+  EXPECT_EXIT(parse_cli({"--trace-cap", "64", "--only", "cpus=1"}),
+              ::testing::ExitedWithCode(2), "--trace-cap needs --trace");
+}
+
 TEST(DriverTest, BaselineIsFirstSeriesOneCpuLockMode) {
   const TestMapParams p = tiny_params();
   harness::DriverOptions opt;

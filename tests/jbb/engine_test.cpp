@@ -50,7 +50,7 @@ OpCounts run_jbb(Flavor flavor, int cpus, int ops_per_cpu, std::string* why,
     total.stock_level += pc.stock_level;
   }
   *consistent = jbb.check_consistency(why);
-  if (violations != nullptr) *violations = eng.stats().total(&sim::CpuStats::violations);
+  if (violations != nullptr) *violations = eng.stats().summed().violations;
   // All committed orders = seeded + successful NewOrders.
   EXPECT_EQ(jbb.committed_order_count(),
             jc.districts * jc.initial_orders_per_district + total.new_order);

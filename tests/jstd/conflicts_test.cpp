@@ -35,7 +35,7 @@ TEST(ConflictsTest, HashMapInsertsOfDifferentKeysConflictOnSizeField) {
     });
   }
   eng.run();
-  EXPECT_GE(eng.stats().total(&sim::CpuStats::violations), 1u);
+  EXPECT_GE(eng.stats().summed().violations, 1u);
   EXPECT_EQ(map.size(), 2);  // still atomic and correct
 }
 
@@ -53,7 +53,7 @@ TEST(ConflictsTest, HashMapReadOnlyTransactionsDoNotConflict) {
     });
   }
   eng.run();
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::violations), 0u);
+  EXPECT_EQ(eng.stats().summed().violations, 0u);
 }
 
 TEST(ConflictsTest, TreeMapDisjointInsertsConflictViaRebalancing) {
@@ -73,7 +73,7 @@ TEST(ConflictsTest, TreeMapDisjointInsertsConflictViaRebalancing) {
     });
   }
   eng.run();
-  EXPECT_GE(eng.stats().total(&sim::CpuStats::violations), 1u);
+  EXPECT_GE(eng.stats().summed().violations, 1u);
   EXPECT_TRUE(map.check_invariants());
 }
 
@@ -95,7 +95,7 @@ TEST(ConflictsTest, SegmentedMapReducesButKeepsSizeConflictsWithinSegments) {
     });
   }
   eng.run();
-  EXPECT_GE(eng.stats().total(&sim::CpuStats::violations), 1u);
+  EXPECT_GE(eng.stats().summed().violations, 1u);
 }
 
 TEST(ConflictsTest, MapsRemainLinearizableUnderHeavyContention) {

@@ -76,6 +76,37 @@ TEST(SrvWorkload, AllFlavorsPassTheConsistencyAudit) {
   }
 }
 
+TEST(SrvWorkload, SimulatedResultsArePinnedPerFlavor) {
+  // Every flavor's simulated outcome at one fig5-shaped point.  The server
+  // loop is shared code over per-flavor state, so a change to cell
+  // construction order, spawn order or the worker loop shows up here
+  // before it reaches the golden CSV.
+  struct Pin {
+    srv::Flavor flavor;
+    std::uint64_t cycles, commits, violations, lost_cycles, chop_pieces;
+  };
+  const Pin pins[] = {
+      {srv::Flavor::kLock, 392041, 0, 0, 0, 0},
+      {srv::Flavor::kFlatTm, 488700, 641, 261, 405093, 0},
+      {srv::Flavor::kSemanticTm, 96890, 865, 6, 41514, 0},
+      {srv::Flavor::kChoppedTm, 100565, 1500, 8, 41836, 1200},
+  };
+  for (const Pin& p : pins) {
+    srv::SrvConfig cfg;
+    cfg.requests = 300;
+    cfg.load = 0.9;
+    srv::SrvReport rep;
+    harness::RunResult out;
+    srv::run_server(p.flavor, cfg, 8, 0, rep, &out);
+    const char* name = srv::flavor_name(p.flavor);
+    EXPECT_EQ(out.cycles, p.cycles) << name;
+    EXPECT_EQ(out.commits, p.commits) << name;
+    EXPECT_EQ(out.violations, p.violations) << name;
+    EXPECT_EQ(out.lost_cycles, p.lost_cycles) << name;
+    EXPECT_EQ(rep.chop_pieces, p.chop_pieces) << name;
+  }
+}
+
 TEST(SrvFigure, SerialAndParallelSweepsAreByteIdentical) {
   // A reduced fig5 sweep — every flavor at one load — run twice: serial and
   // with 8 host threads.  Results (extras included) and CSV bytes must

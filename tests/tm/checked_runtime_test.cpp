@@ -348,7 +348,7 @@ TEST_F(CheckedRuntimeTest, TransactionalMapWorkloadIsClean) {
     });
   }
   eng.run();
-  EXPECT_GT(eng.stats().total(&sim::CpuStats::commits), 0u);
+  EXPECT_GT(eng.stats().summed().commits, 0u);
   EXPECT_EQ(audit::total(), 0u) << (audit::reports().empty() ? "" : audit::reports()[0]);
 }
 

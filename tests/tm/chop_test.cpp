@@ -45,7 +45,7 @@ TEST(Chop, RunsPiecesInRankOrderAndCommitsEach) {
   EXPECT_EQ(a.unsafe_peek(), 1);
   EXPECT_EQ(b.unsafe_peek(), 11);
   // Each piece committed as its own top-level transaction.
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::commits), 2u);
+  EXPECT_EQ(eng.stats().summed().commits, 2u);
   EXPECT_EQ(rt.chop_stats().chops, 1u);
   EXPECT_EQ(rt.chop_stats().pieces, 2u);
   EXPECT_EQ(rt.chop_stats().dep_breaks, 0u);

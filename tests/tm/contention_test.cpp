@@ -52,7 +52,7 @@ std::uint64_t run_symmetric(std::unique_ptr<ContentionManager> cm, int cpus, int
   }
   eng.run();
   EXPECT_EQ(hot.unsafe_peek(), static_cast<long>(cpus) * iters);
-  return eng.stats().total(&sim::CpuStats::violations);
+  return eng.stats().summed().violations;
 }
 
 TEST(ContentionTest, OldKarmaFormulaWasCpuBlind) {

@@ -105,7 +105,7 @@ TEST(RuntimeTest, DisjointWritesDoNotConflict) {
     });
   });
   eng.run();
-  EXPECT_EQ(eng.stats().total(&sim::CpuStats::violations), 0u);
+  EXPECT_EQ(eng.stats().summed().violations, 0u);
   EXPECT_EQ(a->unsafe_peek(), 1);
   EXPECT_EQ(b->unsafe_peek(), 2);
 }
@@ -550,7 +550,7 @@ TEST(RuntimeTest, DeterministicViolationCounts) {
       });
     }
     eng.run();
-    return std::pair(eng.elapsed_cycles(), eng.stats().total(&sim::CpuStats::violations));
+    return std::pair(eng.elapsed_cycles(), eng.stats().summed().violations);
   };
   EXPECT_EQ(run_once(), run_once());
 }
